@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run conjecture sweeps")
     p.add_argument("--spec", action="append", help="group descriptor (repeatable)")
     p.add_argument("--preset", choices=sorted(verifier.PRESETS), default=None)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                   help="accepted and ignored: the scan is a single pass")
     p.add_argument("--order-guard", type=int, default=None)
     p.add_argument("--root-cap", type=int, default=verifier.DEFAULT_ROOT_CAP)
     p.add_argument("--quiet", action="store_true", help="suppress per-group progress")
@@ -324,3 +325,7 @@ def main(argv=None) -> int:
 
 def run():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -34,6 +34,7 @@ import numpy as np
 from .core import INFINITY, CoxeterMatrix, SystemSpec, build_matrix, parse_spec
 from .errors import (
     BadLetter,
+    InvalidLimit,
     NotFinite,
     NumericalInstability,
     OrderGuardExceeded,
@@ -75,7 +76,12 @@ def effective_order_guard(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get(ORDER_GUARD_ENV)
-    return int(env) if env else DEFAULT_ORDER_GUARD
+    if not env:
+        return DEFAULT_ORDER_GUARD
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidLimit(f"{ORDER_GUARD_ENV}={env!r} is not an integer") from None
 
 
 def _cosine_matrix(matrix: CoxeterMatrix) -> np.ndarray:
@@ -113,7 +119,7 @@ def build_root_system(matrix: CoxeterMatrix, cap: int = DEFAULT_ROOT_CAP) -> Roo
     """
     n = matrix.n
     if cap < 2 * n:
-        raise ValueError(f"cap must be at least 2*rank = {2 * n}")
+        raise InvalidLimit(f"root cap {cap} is below 2*rank = {2 * n}")
     b = _cosine_matrix(matrix)
     vecs = [np.eye(n)[i] for i in range(n)]
     stack = np.vstack(vecs)

@@ -33,6 +33,10 @@ class NumericalInstability(CoxeterError):
     """Root identification was ambiguous, or the combinatorial audit of the table failed."""
 
 
+class InvalidLimit(CoxeterError, ValueError):
+    """A size limit (root cap, order guard) is malformed or too small to use."""
+
+
 class OrderGuardExceeded(CoxeterError):
     """Group enumeration passed the element-count guard."""
 

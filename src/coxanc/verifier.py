@@ -6,19 +6,15 @@ Two properties are checked per group:
      prefix (the "ancestor property"), and
   2. the resulting involution length never exceeds the rank.
 
-The per-group scan precomputes the involution list once and tests the prefix
-condition l(t) + l(t*w) = l(w) for every involution t against all elements w
-simultaneously (left multiplication by t is one composed lookup table, so the
-test is a handful of vectorized passes per involution).  The element space
-can be partitioned across worker threads by splitting the involution list;
-partial results merge deterministically, so serial and parallel sweeps are
-byte-identical apart from timing.
+The per-group scan is one pass over the weak order: the longest involution
+prefixes of an element follow from those of the elements one step below it,
+so a level-by-level sweep in id order (ids are in length order) settles every
+element at cost O(order x rank).  See `ancestor_scan`.
 """
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +27,7 @@ from .engine import (
     build_group,
     canonical_reduced_word,
     format_word,
+    multiply,
 )
 from .errors import AncestorAmbiguityFound, CoxeterError
 
@@ -55,73 +52,54 @@ class AncestorScan:
     stripped: np.ndarray           # ancestor * w, -1 for the identity
 
 
-def _left_gen_tables(table: GroupTable) -> list[np.ndarray]:
-    inv = table.inverse
-    return [inv[table.gen_mul[inv, g]] for g in range(table.n)]
+def ancestor_scan(table: GroupTable, workers: int = 1) -> AncestorScan:
+    """Longest involution prefixes of every element, one length level at a time.
 
+    The prefixes of w are w itself together with the prefixes of ws for each
+    right descent s (the lower interval of w in right weak order, Bjorner-
+    Brenti, GTM 231, ch. 3).  An involution is its own unique longest
+    involution prefix.  Any other w takes the top length among its children
+    ws, and is ambiguous exactly when a child at that length is ambiguous or
+    two of them disagree on the ancestor; otherwise it inherits that ancestor
+    and stripped(w) = stripped(ws) * s.  Ids are in length order, so each
+    level is a contiguous slice whose children are all already settled.
 
-def _involution_ids(table: GroupTable) -> np.ndarray:
-    ids = np.arange(table.order, dtype=np.int32)
-    return ids[(table.inverse == ids) & (ids != 0)]
-
-
-def _scan_chunk(table: GroupTable, lgs, invols) -> AncestorScan:
+    Ambiguous elements (none in any finite group checked so far) get the exact
+    count and the least witness from the per-element search
+    `weak_order.ancestors`.  `workers` is accepted for compatibility and
+    ignored: the pass is a few vectorized steps per level.
+    """
     order = table.order
-    lengths = table.length
+    gen_mul = table.gen_mul
+    length = table.length
     best = np.full(order, -1, dtype=np.int32)
-    count = np.zeros(order, dtype=np.int32)
+    count = np.ones(order, dtype=np.int32)
+    count[0] = 0
     wit = np.full(order, -1, dtype=np.int32)
     stripped = np.full(order, -1, dtype=np.int32)
-    for t in invols:
-        letters = canonical_reduced_word(table, int(t))
-        arr = lgs[letters[-1] - 1]
-        for letter in letters[-2::-1]:
-            arr = lgs[letter - 1][arr]
-        # arr[w] = t*w; t is an involution prefix of w iff l(t) + l(t*w) = l(w)
-        lt = int(lengths[t])
-        mask = lengths[arr] + lt == lengths
-        upd = mask & (lt > best)
-        tie = mask & (lt == best)
-        best[upd] = lt
-        count[upd] = 1
-        wit[upd] = t
-        stripped[upd] = arr[upd]
-        count[tie] += 1
+    ambiguous = np.zeros(order, dtype=bool)
+    starts = np.searchsorted(length, np.arange(1, int(length[-1]) + 2))
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        ids = np.arange(lo, hi, dtype=np.int32)
+        kids = gen_mul[lo:hi]
+        kid_best = np.where(length[kids] < length[lo], best[kids], -1)
+        top = kid_best.max(axis=1)
+        at_top = kid_best == top[:, None]
+        s = at_top.argmax(axis=1).astype(np.int32)
+        first = kids[ids - lo, s]
+        split = at_top & ((wit[kids] != wit[first][:, None]) | ambiguous[kids])
+        invol = table.inverse[lo:hi] == ids
+        best[lo:hi] = np.where(invol, length[lo], top)
+        wit[lo:hi] = np.where(invol, ids, wit[first])
+        stripped[lo:hi] = np.where(invol, 0, gen_mul[stripped[first], s])
+        ambiguous[lo:hi] = split.any(axis=1) & ~invol
+    for w in np.nonzero(ambiguous)[0].tolist():
+        witnesses = weak_order.ancestors(table, w).members
+        count[w] = len(witnesses)
+        wit[w] = min(witnesses)
+        stripped[w] = multiply(table, int(wit[w]), w)
+    assert (best[1:] >= 1).all(), "every w != 1 has an involution prefix"
     return AncestorScan(best, count, wit, stripped)
-
-
-def _merge_scans(parts: list[AncestorScan]) -> AncestorScan:
-    acc = parts[0]
-    for p in parts[1:]:
-        gt = p.max_prefix_length > acc.max_prefix_length
-        eq = p.max_prefix_length == acc.max_prefix_length
-        acc.max_prefix_length[gt] = p.max_prefix_length[gt]
-        acc.ancestor[gt] = p.ancestor[gt]
-        acc.stripped[gt] = p.stripped[gt]
-        acc.ancestor_count[gt] = p.ancestor_count[gt]
-        acc.ancestor_count[eq] += p.ancestor_count[eq]
-    return acc
-
-
-def ancestor_scan(table: GroupTable, workers: int = 1) -> AncestorScan:
-    """Scan all involutions against all elements; see the module docstring.
-
-    The involution list is split into `workers` chunks whose partial results
-    merge to exactly the serial outcome (ties keep the lowest involution id),
-    so the worker count never changes the answer.
-    """
-    lgs = _left_gen_tables(table)
-    invols = _involution_ids(table)
-    if workers <= 1 or len(invols) <= 1:
-        scan = _scan_chunk(table, lgs, invols)
-    else:
-        chunks = [c for c in np.array_split(invols, workers) if len(c)]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(lambda c: _scan_chunk(table, lgs, c), chunks))
-        scan = _merge_scans(parts)
-    if table.order > 1:
-        assert (scan.ancestor_count[1:] >= 1).all(), "every w != 1 has an involution prefix"
-    return scan
 
 
 def _ilen_array(table: GroupTable, scan: AncestorScan) -> np.ndarray:
@@ -215,7 +193,10 @@ class ConjectureReport:
 def verify_group(spec: SystemSpec | str, *, workers: int = 1,
                  order_guard: int | None = None,
                  root_cap: int = DEFAULT_ROOT_CAP) -> ConjectureReport:
-    """Build one group and run both verifications plus the suffix-ilen tally."""
+    """Build one group and run both verifications plus the suffix-ilen tally.
+
+    `workers` is accepted and ignored, as in `ancestor_scan`.
+    """
     if isinstance(spec, str):
         descriptor = spec
         try:

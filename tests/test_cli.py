@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import coxanc
 from coxanc.cli import EXIT_COUNTEREXAMPLE, EXIT_ERROR, EXIT_PASS, exit_code_for, main
 from coxanc.verifier import ConjectureReport
 
@@ -36,6 +41,31 @@ def test_verify_csv_out_file(capsys, tmp_path):
 def test_verify_not_finite_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--spec", "U2", "--quiet", "--root-cap", "100")
     assert code == EXIT_ERROR
+
+
+def test_verify_root_cap_below_rank_is_exit_2(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--spec", "A3", "--root-cap", "1", "--format", "json", "--quiet"
+    )
+    assert code == EXIT_ERROR
+    assert json.loads(out)["reports"][0]["error"].startswith("InvalidLimit")
+
+
+def test_verify_malformed_order_guard_env_is_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("COXANC_ORDER_GUARD", "abc")
+    code, out, _ = run_cli(capsys, "verify", "--spec", "A2", "--format", "json", "--quiet")
+    assert code == EXIT_ERROR
+    assert json.loads(out)["reports"][0]["error"].startswith("InvalidLimit")
+
+
+def test_python_dash_m_coxanc():
+    env = dict(os.environ, PYTHONPATH=str(Path(coxanc.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "coxanc", "verify", "--spec", "A2", "--quiet"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_PASS, done.stderr
+    assert "verified 1 group(s): 1 pass" in done.stdout
 
 
 def test_verify_counterexample_exit_code():

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
 import pytest
 
 from coxanc import (
     ancestor_scan,
+    ancestors,
+    element_from_word,
     involution_length,
+    multiply,
     reports_to_csv,
     reports_to_json,
     sweep,
@@ -12,6 +16,7 @@ from coxanc import (
     verify_group,
     verify_ilen_bound,
 )
+from coxanc.errors import AncestorAmbiguityFound
 from coxanc.verifier import PAPER_PRESET, _ilen_array
 
 
@@ -48,16 +53,47 @@ def test_verify_ilen_bound_examples(group):
 
 
 def test_scan_matches_per_element_path(group):
-    table = group("B3")
+    for descriptor in ("B3", "H3", "D4", "I2(7)", "A2xB2"):
+        table = group(descriptor)
+        scan = ancestor_scan(table)
+        assert (scan.max_prefix_length[0], scan.ancestor_count[0]) == (-1, 0)
+        assert (scan.ancestor[0], scan.stripped[0]) == (-1, -1)
+        for w in range(1, table.order):
+            witnesses = sorted(ancestors(table, w).members)
+            assert scan.max_prefix_length[w] == table.length[witnesses[0]], (descriptor, w)
+            assert scan.ancestor_count[w] == len(witnesses), (descriptor, w)
+            assert scan.ancestor[w] == witnesses[0], (descriptor, w)
+            assert scan.stripped[w] == multiply(table, witnesses[0], w), (descriptor, w)
+        ilen = _ilen_array(table, scan)
+        for w in range(table.order):
+            assert involution_length(table, w) == int(ilen[w]), (descriptor, w)
+
+
+def test_scan_ambiguous_element_gets_exact_witnesses(group):
+    # No group the package builds has an ambiguous element, so make one: with
+    # t = r1 r2 r1 no longer counted as an involution, w = r1 r2 r1 r3 in A3
+    # has the two longest involution prefixes r1 and r2.  The search for w
+    # reads inverse[] only at suffixes of w, which t is not.
+    real = group("A3")
+    t = element_from_word(real, (1, 2, 1))
+    w = element_from_word(real, (1, 2, 1, 3))
+    inverse = real.inverse.copy()
+    inverse[t] = 0
+    table = dataclasses.replace(real, inverse=inverse)
+    r1, r2 = element_from_word(table, (1,)), element_from_word(table, (2,))
+    assert ancestors(table, w).members == {r1, r2}
+
     scan = ancestor_scan(table)
-    ilen = _ilen_array(table, scan)
-    for w in range(table.order):
-        assert involution_length(table, w) == int(ilen[w])
+    assert scan.max_prefix_length[w] == 1
+    assert scan.ancestor_count[w] == 2
+    assert scan.ancestor[w] == min(r1, r2)
+    assert scan.stripped[w] == multiply(table, min(r1, r2), w)
+    with pytest.raises(AncestorAmbiguityFound) as excinfo:
+        _ilen_array(table, scan)
+    assert w in excinfo.value.element_ids
 
 
 def test_ambiguity_propagates_as_structured_failure(group):
-    from coxanc.errors import AncestorAmbiguityFound
-
     table = group("A2")
     scan = ancestor_scan(table)
     scan.ancestor_count[3] = 2  # fabricate an ambiguous element
