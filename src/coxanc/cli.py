@@ -26,7 +26,7 @@ from .engine import (
     format_word,
     left_descents,
 )
-from .errors import CoxeterError
+from .errors import CoxeterError, OutputError
 from .graphs import chromatic_number, is_bipartite, longest_path_order
 
 EXIT_PASS = 0
@@ -46,8 +46,11 @@ def _word_from_arg(text: str) -> tuple[int, ...]:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

@@ -76,9 +76,15 @@ class CoxeterMatrix:
 
     @classmethod
     def from_file(cls, path) -> "CoxeterMatrix":
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise InvalidMatrix(f"{path}: cannot read matrix file: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise InvalidMatrix(f"{path}: matrix file is not text") from None
         lines = [
             line.strip()
-            for line in Path(path).read_text().splitlines()
+            for line in text.splitlines()
             if line.strip() and not line.lstrip().startswith("#")
         ]
         if not lines:

@@ -9,19 +9,24 @@ stable across runs and platforms.
 
 Construction runs in the standard geometric representation.  The simple
 roots are closed under the simple reflections (positive roots only: a simple
-reflection permutes the positive roots other than its own), elements are the
-permutations they induce on root ids, and the breadth-first closure
-deduplicates elements by the images of the simple roots.  Root coordinates
-are double precision with a snap tolerance; the finished table is then
-audited purely combinatorially -- generator permutations are involutions,
-the product of generators i, j has order m_ij, lengths equal the root-sign
-count, descent bits match the length rule.  Once the audit passes, every
-later computation is exact integer work on the tables.
+reflection permutes the positive roots other than its own), giving each
+generator as a permutation of the root ids.  An element is then keyed by the
+images of the n simple roots alone -- they determine it, since the simple
+roots are a basis -- packed into int64 words.  The breadth-first closure
+left-multiplies one length level at a time, sorts the candidates' keys to
+deduplicate them and to read off the left-multiplication table, and derives
+right multiplication and inverses from it level by level.  Full root
+permutations are never built, so memory per element is the table row itself.
+Right descents are read off root signs: l(w s) < l(w) iff w(alpha_s) < 0.
 
-The full root permutations are dropped after construction; per element the
-table keeps one generator-multiplication row plus length, inverse, descent
-bits and the canonical-word chain, so groups in the 50k-element range fit
-comfortably in memory.
+Root coordinates are double precision with a snap tolerance; the finished
+table is then audited purely combinatorially (see `_audit`): the generators
+act on roots and on the table as involutions satisfying the braid relations,
+the table is a transitive W-set, lengths step by one, and its descents agree
+with the root signs.  Once the audit passes, every later computation is exact
+integer work on the tables.  Per element the table keeps one
+generator-multiplication row plus length, inverse, descent bits and the
+canonical-word chain.
 """
 from __future__ import annotations
 
@@ -45,6 +50,7 @@ AMBIG_TOL = 1e-5
 DEFAULT_ROOT_CAP = 10_000
 DEFAULT_ORDER_GUARD = 1_000_000
 ORDER_GUARD_ENV = "COXANC_ORDER_GUARD"
+_WORD_MASK = np.int64((1 << 63) - 1)
 
 Word = tuple[int, ...]
 
@@ -197,100 +203,145 @@ class GroupTable:
         return 0
 
 
+def _key_layout(system: RootSystem) -> tuple[int, int]:
+    """(bits per root id, int64 words per key) for packing simple-root images.
+
+    Each word holds 63 bits, so keys stay non-negative; an image may straddle
+    two words.
+    """
+    bits = max(1, (2 * system.num_positive - 1).bit_length())
+    return bits, -(-system.rank * bits // 63)
+
+
+def _pack(images: np.ndarray, bits: int, words: int) -> np.ndarray:
+    """(rows, n) root ids -> (rows, words) int64 keys, one bit field per image."""
+    keys = np.zeros((images.shape[0], words), dtype=np.int64)
+    for i in range(images.shape[1]):
+        word, shift = divmod(i * bits, 63)
+        col = images[:, i].astype(np.int64)
+        keys[:, word] |= (col << shift) & _WORD_MASK
+        if shift + bits > 63:
+            keys[:, word + 1] |= col >> (63 - shift)
+    return keys
+
+
 def build_group_table(system: RootSystem, order_guard: int | None = None,
                       audit: bool = True) -> GroupTable:
-    """Breadth-first closure from the identity; see the module docstring."""
+    """Breadth-first closure from the identity; see the module docstring.
+
+    Level d is the previous level left-multiplied by every generator, in
+    (generator, parent) order.  One stable lexsort of those candidates
+    together with level d-2 sorts every candidate into its element: the
+    first of a run of equal keys is its id, new elements are numbered in
+    discovery order, and each candidate's id is a row of the
+    left-multiplication table.  Right multiplication and inverses then
+    follow level by level from w = r_f * p: w * r_g = r_f * (p * r_g) and
+    w^-1 = p^-1 * r_f.
+    """
     gp = system.gen_perms
     n = system.rank
     npos = system.num_positive
     guard = effective_order_guard(order_guard)
+    bits, words = _key_layout(system)
 
-    ident = np.arange(2 * npos, dtype=np.int32)
-    seen: dict[bytes, int] = {ident[:n].tobytes(): 0}
-    blocks = [ident[None, :]]
-    length = [0]
-    parent = [-1]
-    first = [-1]
-    level_ids = [0]
-    level_block = blocks[0]
-    depth = 0
-    while level_ids:
-        depth += 1
-        nxt_ids: list[int] = []
-        nxt_blocks: list[np.ndarray] = []
-        for g in range(n):
-            cand = gp[g][level_block]  # left multiplication by r_g, row per parent
-            keys = np.ascontiguousarray(cand[:, :n])
-            fresh: list[int] = []
-            for b in range(cand.shape[0]):
-                key = keys[b].tobytes()
-                if key not in seen:
-                    wid = len(length)
-                    if wid + 1 > guard:
-                        raise OrderGuardExceeded(
-                            f"group exceeds the order guard {guard} "
-                            f"(override with {ORDER_GUARD_ENV} or order_guard=)"
-                        )
-                    seen[key] = wid
-                    length.append(depth)
-                    parent.append(level_ids[b])
-                    first.append(g)
-                    nxt_ids.append(wid)
-                    fresh.append(b)
-            if fresh:
-                nxt_blocks.append(cand[np.array(fresh)])
-        if nxt_ids:
-            level_block = np.vstack(nxt_blocks)
-            blocks.append(level_block)
-        level_ids = nxt_ids
+    images = np.arange(n, dtype=np.int32)[None, :]  # the identity fixes each simple root
+    keys = _pack(images, bits, words)
+    below_keys = keys[:0]
+    lo, hi, below_lo = 0, 1, 0
+    bounds = [0, 1]
+    left_blocks, parent_blocks, first_blocks, rdesc_blocks = [], [], [], []
+    while True:
+        level = hi - lo
+        cand = gp[:, images].reshape(n * level, n)  # row g*level + b is r_g * (lo + b)
+        stacked = np.concatenate([below_keys, _pack(cand, bits, words)])
+        by_key = np.lexsort(stacked.T)  # stable: first discovery heads each run
+        ordered = stacked[by_key]
+        run_start = np.ones(len(by_key), dtype=bool)
+        run_start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        head = np.empty(len(by_key), dtype=np.int64)
+        head[by_key] = by_key[np.maximum.accumulate(np.where(run_start, np.arange(len(by_key)), 0))]
+        nbelow = len(below_keys)
+        fresh = np.nonzero(head[nbelow:] == np.arange(nbelow, len(by_key)))[0]
+        if hi + len(fresh) > guard:
+            raise OrderGuardExceeded(
+                f"group exceeds the order guard {guard} "
+                f"(override with {ORDER_GUARD_ENV} or order_guard=)"
+            )
+        id_of = np.empty(len(by_key), dtype=np.int32)
+        id_of[:nbelow] = np.arange(below_lo, lo, dtype=np.int32)
+        id_of[nbelow + fresh] = np.arange(hi, hi + len(fresh), dtype=np.int32)
+        left_blocks.append(id_of[head[nbelow:]].reshape(n, level).T)
+        rdesc_blocks.append(((images >= npos) << np.arange(n)).sum(axis=1, dtype=np.int64))
+        if not len(fresh):
+            break
+        parent_blocks.append((lo + fresh % level).astype(np.int32))
+        first_blocks.append((fresh // level).astype(np.int16))
+        images = cand[fresh]
+        below_keys, below_lo, keys = keys, lo, stacked[nbelow + fresh]
+        lo, hi = hi, hi + len(fresh)
+        bounds.append(hi)
 
-    perms = np.vstack(blocks).astype(np.int32, copy=False)
-    order = perms.shape[0]
-    lengths = np.array(length, dtype=np.int32)
-    parents = np.array(parent, dtype=np.int32)
-    firsts = np.array(first, dtype=np.int16)
-
-    inv_perms = np.argsort(perms, axis=1).astype(np.int32)
-    inverse = np.empty(order, dtype=np.int32)
-    inv_keys = np.ascontiguousarray(inv_perms[:, :n])
-    for w in range(order):
-        inverse[w] = seen[inv_keys[w].tobytes()]
+    order = hi
+    left = np.concatenate(left_blocks)
+    rdesc = np.concatenate(rdesc_blocks)
+    parents = np.concatenate([[-1], *parent_blocks]).astype(np.int32)
+    firsts = np.concatenate([[-1], *first_blocks]).astype(np.int16)
+    lengths = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
 
     gen_mul = np.empty((order, n), dtype=np.int32)
-    for g in range(n):
-        comp = perms[:, gp[g]]  # right multiplication: (w*r_g) on roots
-        keys = np.ascontiguousarray(comp[:, :n])
-        col = gen_mul[:, g]
-        for w in range(order):
-            col[w] = seen[keys[w].tobytes()]
+    inverse = np.empty(order, dtype=np.int32)
+    gen_mul[0] = left[0]
+    inverse[0] = 0
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        p, f = parents[lo:hi], firsts[lo:hi]
+        gen_mul[lo:hi] = left[gen_mul[p], f[:, None]]
+        inverse[lo:hi] = gen_mul[inverse[p], f]
 
-    rdesc = np.zeros(order, dtype=np.int64)
-    for g in range(n):
-        rdesc |= (lengths[gen_mul[:, g]] < lengths).astype(np.int64) << g
-    ldesc = rdesc[inverse]
-
-    if audit:
-        _audit(system, perms, inv_perms, lengths, gen_mul, inverse, ldesc)
-
-    return GroupTable(
+    table = GroupTable(
         n=n,
         order=order,
         num_positive_roots=npos,
         gen_mul=gen_mul,
         length=lengths,
         inverse=inverse,
-        ldesc_bits=ldesc,
+        ldesc_bits=rdesc[inverse],
         rdesc_bits=rdesc,
         parent=parents,
         first_letter=firsts,
         system=system,
     )
+    if audit:
+        _audit(table, left)
+    return table
 
 
-def _audit(system, perms, inv_perms, lengths, gen_mul, inverse, ldesc_bits):
-    """Combinatorial certification of the float-built permutation data."""
+def _audit(table: GroupTable, left: np.ndarray) -> None:
+    """Combinatorial certification of a table built from float root data.
+
+    Raises NumericalInstability on the first check that fails.  The checks:
+
+    * each generator acts on the 2N root ids as an involutive permutation,
+      and r_i r_j has order exactly m_ij there;
+    * each gen_mul column is an involution and (r_i r_j)^m_ij fixes every
+      element, so gen_mul is a right action of W on the ids;
+    * every element other than the identity is r_f times its parent
+      (left[parent, f] = w) and left = inverse o gen_mul o inverse, with
+      inverse an involution, so every id is reached from the identity: the
+      ids form a transitive W-set;
+    * length (the breadth-first depth) steps by exactly 1 under every
+      generator and is preserved by inverse;
+    * right descents by length agree with the root signs, l(w r_g) < l(w)
+      iff w(alpha_g) < 0 (Humphreys, Reflection Groups and Coxeter Groups,
+      5.4), and left descents agree with l(r_g w) < l(w).
+
+    Together: the table is a transitive W-set whose descents agree with the
+    faithful root representation.  Ids are distinct simple-root images, so
+    they name distinct elements of W; once the audit passes every later
+    computation is exact integer work on the tables.
+    """
+    system = table.system
     gp = system.gen_perms
-    n = system.rank
+    n = table.n
     npos = system.num_positive
     ar = np.arange(2 * npos, dtype=np.int32)
     for g in range(n):
@@ -315,22 +366,39 @@ def _audit(system, perms, inv_perms, lengths, gen_mul, inverse, ldesc_bits):
                 raise NumericalInstability(
                     f"product of generators {i + 1},{j + 1} has order {k}, expected {m}"
                 )
-    neg_count = (perms[:, :npos] >= npos).sum(axis=1)
-    if not np.array_equal(neg_count, lengths):
-        raise NumericalInstability("lengths disagree with the root-sign count")
+
+    ids = np.arange(table.order, dtype=np.int32)
+    cols = np.ascontiguousarray(table.gen_mul.T)
     for g in range(n):
-        by_length = lengths[gen_mul[inverse, g]] < lengths
-        by_root = inv_perms[:, g] >= npos
-        if not np.array_equal(by_length, (ldesc_bits >> g) & 1 == 1):
-            raise NumericalInstability("descent bits disagree with the length rule")
-        if not np.array_equal(by_root, by_length):
-            raise NumericalInstability("root-sign descent rule disagrees with the length rule")
-        if not np.all(np.abs(lengths[gen_mul[:, g]] - lengths) == 1):
-            raise NumericalInstability("generator multiplication does not step length by 1")
-    if not np.array_equal(inverse[inverse], np.arange(len(inverse), dtype=np.int32)):
+        if not np.array_equal(cols[g][cols[g]], ids):
+            raise NumericalInstability(f"right multiplication by r{g + 1} is not an involution")
+    for i in range(n):
+        for j in range(i + 1, n):
+            cur = ids
+            for _ in range(system.matrix.rows[i][j]):
+                cur = cols[j][cols[i][cur]]
+            if not np.array_equal(cur, ids):
+                raise NumericalInstability(
+                    f"(r{i + 1} r{j + 1})^m does not fix every element of the table"
+                )
+
+    inverse, lengths = table.inverse, table.length
+    if not np.array_equal(inverse[inverse], ids):
         raise NumericalInstability("inverse table is not an involution")
     if not np.array_equal(lengths[inverse], lengths):
         raise NumericalInstability("inverse does not preserve length")
+    if not np.array_equal(left[table.parent[1:], table.first_letter[1:]], ids[1:]):
+        raise NumericalInstability("an element is not r_f times its parent")
+    for g in range(n):
+        if not np.array_equal(left[:, g], inverse[cols[g][inverse]]):
+            raise NumericalInstability("left multiplication disagrees with inverse and gen_mul")
+        steps = lengths[cols[g]] - lengths
+        if not (np.abs(steps) == 1).all():
+            raise NumericalInstability("generator multiplication does not step length by 1")
+        if not np.array_equal((table.rdesc_bits >> g) & 1 == 1, steps < 0):
+            raise NumericalInstability("root-sign descent rule disagrees with the length rule")
+        if not np.array_equal((table.ldesc_bits >> g) & 1 == 1, lengths[left[:, g]] < lengths):
+            raise NumericalInstability("left descent bits disagree with the length rule")
 
 
 def build_group(spec: SystemSpec | str, *, root_cap: int = DEFAULT_ROOT_CAP,

@@ -41,6 +41,10 @@ class OrderGuardExceeded(CoxeterError):
     """Group enumeration passed the element-count guard."""
 
 
+class OutputError(CoxeterError):
+    """A report could not be written to the requested output path."""
+
+
 class BadLetter(CoxeterError):
     """Word letter outside 1..rank."""
 

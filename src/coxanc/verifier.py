@@ -107,16 +107,17 @@ def _ilen_array(table: GroupTable, scan: AncestorScan) -> np.ndarray:
 
     Requires the ancestor property: raises AncestorAmbiguityFound otherwise.
     Stripping strictly reduces length, and ids are assigned in length order,
-    so a single pass in id order suffices.
+    so each length level is one step from the levels below it.
     """
     bad = np.nonzero(scan.ancestor_count > 1)[0]
     if bad.size:
         raise AncestorAmbiguityFound(bad)
-    stripped = scan.stripped.tolist()
-    ilen = [0] * table.order
-    for w in range(1, table.order):
-        ilen[w] = ilen[stripped[w]] + 1
-    return np.array(ilen, dtype=np.int32)
+    length = table.length
+    ilen = np.zeros(table.order, dtype=np.int32)
+    starts = np.searchsorted(length, np.arange(1, int(length[-1]) + 2))
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        ilen[lo:hi] = ilen[scan.stripped[lo:hi]] + 1
+    return ilen
 
 
 def verify_ancestor_property(table: GroupTable, workers: int = 1):

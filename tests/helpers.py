@@ -1,8 +1,9 @@
 """Independent oracles and classical reference data used across the tests.
 
 Everything here is deliberately computed by a different route than the
-library takes: closed-form order formulas, Cayley-graph BFS over gen_mul,
-whole-group prefix scans, and exhaustive path/coloring enumeration.
+library takes: closed-form order formulas, a group table built from full
+root permutations, Cayley-graph BFS over gen_mul, whole-group prefix scans,
+and exhaustive path/coloring enumeration.
 """
 import math
 from collections import deque
@@ -147,3 +148,78 @@ def all_reduced_words(table, w):
         for rest in all_reduced_words(table, left_multiply_generator(table, g, w)):
             out.append((g,) + rest)
     return out
+
+
+def reference_group_table(system):
+    """Group table from full root permutations and dict lookups; small groups only.
+
+    Every element is its permutation of all 2N root ids, found by breadth-first
+    left multiplication and deduplicated by the images of the simple roots in a
+    dict, in (generator, parent) order within each length level.  Inverses come
+    from inverting the permutations, right multiplication from composing them,
+    and right descents from the length rule.  Returns a GroupTable with the
+    same ids as engine.build_group_table.
+    """
+    from coxanc.engine import GroupTable
+
+    gp = system.gen_perms
+    n = system.rank
+    npos = system.num_positive
+
+    ident = np.arange(2 * npos, dtype=np.int32)
+    seen = {ident[:n].tobytes(): 0}
+    blocks = [ident[None, :]]
+    length, parent, first = [0], [-1], [-1]
+    level_ids = [0]
+    level_block = blocks[0]
+    depth = 0
+    while level_ids:
+        depth += 1
+        nxt_ids, nxt_blocks = [], []
+        for g in range(n):
+            cand = gp[g][level_block]  # left multiplication by r_g, row per parent
+            fresh = []
+            for b in range(cand.shape[0]):
+                key = cand[b, :n].tobytes()
+                if key not in seen:
+                    seen[key] = len(length)
+                    nxt_ids.append(len(length))
+                    length.append(depth)
+                    parent.append(level_ids[b])
+                    first.append(g)
+                    fresh.append(b)
+            if fresh:
+                nxt_blocks.append(cand[np.array(fresh)])
+        if nxt_ids:
+            level_block = np.vstack(nxt_blocks)
+            blocks.append(level_block)
+        level_ids = nxt_ids
+
+    perms = np.vstack(blocks)
+    order = perms.shape[0]
+    lengths = np.array(length, dtype=np.int32)
+    inv_perms = np.argsort(perms, axis=1)
+    inverse = np.array(
+        [seen[inv_perms[w, :n].astype(np.int32).tobytes()] for w in range(order)],
+        dtype=np.int32,
+    )
+    gen_mul = np.empty((order, n), dtype=np.int32)
+    for g in range(n):
+        comp = perms[:, gp[g]]  # (w * r_g) on roots
+        gen_mul[:, g] = [seen[comp[w, :n].tobytes()] for w in range(order)]
+    rdesc = np.zeros(order, dtype=np.int64)
+    for g in range(n):
+        rdesc |= (lengths[gen_mul[:, g]] < lengths).astype(np.int64) << g
+    return GroupTable(
+        n=n,
+        order=order,
+        num_positive_roots=npos,
+        gen_mul=gen_mul,
+        length=lengths,
+        inverse=inverse,
+        ldesc_bits=rdesc[inverse],
+        rdesc_bits=rdesc,
+        parent=np.array(parent, dtype=np.int32),
+        first_letter=np.array(first, dtype=np.int16),
+        system=system,
+    )

@@ -58,6 +58,26 @@ def test_verify_malformed_order_guard_env_is_exit_2(capsys, monkeypatch):
     assert json.loads(out)["reports"][0]["error"].startswith("InvalidLimit")
 
 
+def test_verify_missing_matrix_file_is_recorded(capsys, tmp_path):
+    missing = tmp_path / "missing.cox"
+    code, out, _ = run_cli(
+        capsys, "verify", "--spec", f"file:{missing}", "--spec", "A2",
+        "--format", "json", "--quiet",
+    )
+    assert code == EXIT_ERROR
+    first, second = json.loads(out)["reports"]
+    assert first["error"].startswith("InvalidMatrix")
+    assert second["spec"] == "A2" and second["error"] is None
+    assert second["conjecture1_holds"] is True
+
+
+def test_verify_unwritable_out_is_exit_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify", "--spec", "A2", "--quiet", "--out", str(tmp_path))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "OutputError" in err
+
+
 def test_python_dash_m_coxanc():
     env = dict(os.environ, PYTHONPATH=str(Path(coxanc.__file__).parents[1]))
     done = subprocess.run(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,13 +17,21 @@ from coxanc import (
     parse_spec,
     support,
 )
-from coxanc.errors import BadLetter, NotFinite, OrderGuardExceeded
+from coxanc.core import CoxeterMatrix
+from coxanc.engine import _audit, _key_layout, _pack, build_group_table
+from coxanc.errors import BadLetter, NotFinite, NumericalInstability, OrderGuardExceeded
 from helpers import (
     all_reduced_words,
     cayley_bfs_lengths,
     classical_coxeter_number,
     classical_positive_roots,
+    left_tables,
+    reference_group_table,
     spec_order,
+)
+
+TABLE_ARRAYS = (
+    "gen_mul", "length", "inverse", "ldesc_bits", "rdesc_bits", "parent", "first_letter",
 )
 
 
@@ -192,3 +202,67 @@ def test_ids_are_length_sorted(group):
     # within a length level, ids follow lexicographic order of canonical words
     words = [canonical_reduced_word(table, w) for w in range(table.order)]
     assert words == sorted(words, key=lambda word: (len(word), word))
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ["B3", "H3", "F4", "A2xB2", "I2(7)", "A2xA2xA2xA2xA2", "x".join(["A1"] * 16)],
+)
+def test_table_matches_reference_builder(descriptor):
+    system = build_root_system(build_matrix(parse_spec(descriptor)))
+    table = build_group_table(system)
+    ref = reference_group_table(system)
+    assert table.order == ref.order
+    for name in TABLE_ARRAYS:
+        got, want = getattr(table, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def test_rank_16_keys_span_two_words():
+    system = build_root_system(build_matrix(parse_spec("x".join(["A1"] * 16))))
+    bits, words = _key_layout(system)
+    assert (bits, words) == (5, 2)  # 16 images of 5 bits: 80 bits, image 13 straddles
+    # every single-image change gives a different key, in either word
+    rows = np.zeros((16 * 32, 16), dtype=np.int32)
+    for i in range(16):
+        rows[32 * i:32 * (i + 1), i] = np.arange(32)
+    distinct_rows = np.unique(rows, axis=0)
+    assert len(np.unique(_pack(distinct_rows, bits, words), axis=0)) == len(distinct_rows)
+
+
+def _unaudited(descriptor):
+    table = build_group(descriptor, audit=False)
+    return table, np.stack(left_tables(table), axis=1)
+
+
+def test_audit_accepts_built_table():
+    _audit(*_unaudited("B3"))
+
+
+def test_audit_rejects_swapped_gen_mul_entries():
+    table, left = _unaudited("B3")
+    gen_mul = table.gen_mul.copy()
+    x, y = 5, 17
+    assert gen_mul[x, 0] not in (x, y)
+    gen_mul[[x, y], 0] = gen_mul[[y, x], 0]
+    with pytest.raises(NumericalInstability, match="not an involution"):
+        _audit(dataclasses.replace(table, gen_mul=gen_mul), left)
+
+
+def test_audit_rejects_wrong_braid_order():
+    system = build_root_system(build_matrix(parse_spec("A3")))
+    rows = [list(row) for row in system.matrix.rows]
+    rows[0][1] = rows[1][0] = 4  # the roots of A3 satisfy (r1 r2)^3 = 1
+    wrong = dataclasses.replace(system, matrix=CoxeterMatrix.from_rows(rows))
+    with pytest.raises(NumericalInstability, match="order 3, expected 4"):
+        build_group_table(wrong)
+
+
+def test_audit_rejects_non_involutive_inverse():
+    table, left = _unaudited("B3")
+    inverse = table.inverse.copy()
+    x = next(w for w in range(table.order) if inverse[w] != w)
+    inverse[x] = x
+    with pytest.raises(NumericalInstability, match="inverse table is not an involution"):
+        _audit(dataclasses.replace(table, inverse=inverse), left)
