@@ -14,6 +14,7 @@ from .core import (
     SystemSpec,
     build_matrix,
     graph_of,
+    is_finite_type,
     parse_spec,
 )
 from .coxeter_elements import (

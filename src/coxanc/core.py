@@ -274,3 +274,59 @@ def graph_of(matrix: CoxeterMatrix) -> CoxeterGraph:
             if m == INFINITY or m >= 3:
                 edges.append((i, j, m))
     return CoxeterGraph(vertices=tuple(range(1, n + 1)), edges=tuple(edges))
+
+
+def is_finite_type(graph: CoxeterGraph) -> bool:
+    """Whether the Coxeter group of the graph is finite.
+
+    Each connected component is matched exactly against the finite types
+    A_n, B_n, D_n, E6-8, F4, H3, H4 and I2(m) (Humphreys, *Reflection Groups
+    and Coxeter Groups*, section 2.7): no float tolerance is involved.
+    """
+    adj = graph.adjacency
+    left = set(graph.vertices)
+    while left:
+        component, stack = set(), [min(left)]
+        while stack:
+            v = stack.pop()
+            if v not in component:
+                component.add(v)
+                stack.extend(adj[v])
+        left -= component
+        if not _is_finite_component(graph.induced(component)):
+            return False
+    return True
+
+
+def _is_finite_component(c: CoxeterGraph) -> bool:
+    adj = c.adjacency
+    labels = [m for (_, _, m) in c.edges]
+    if INFINITY in labels or len(labels) != c.rank - 1:  # an infinite bond or a cycle
+        return False
+    if c.rank <= 2:  # A1 or I2(m)
+        return True
+    branches = [v for v in c.vertices if len(adj[v]) > 2]
+    if not branches:  # a path
+        odd = [(i, j, m) for (i, j, m) in c.edges if m != 3]
+        if not odd:  # A_n
+            return True
+        if len(odd) > 1:
+            return False
+        i, j, m = odd[0]
+        at_end = len(adj[i]) == 1 or len(adj[j]) == 1
+        if m == 4:  # B_n, or F4 with the 4 in the middle
+            return at_end or c.rank == 4
+        return m == 5 and at_end and c.rank <= 4  # H3, H4
+    if len(branches) > 1 or len(adj[branches[0]]) > 3 or set(labels) != {3}:
+        return False
+    arms = sorted(_arm_length(adj, branches[0], u) for u in adj[branches[0]])
+    return arms[:2] == [1, 1] or (arms[:2] == [1, 2] and arms[2] <= 4)  # D_n, E6-8
+
+
+def _arm_length(adj, center: int, v: int) -> int:
+    """Vertices on the path that leaves center through v."""
+    length, prev = 1, center
+    while len(adj[v]) == 2:
+        prev, v = v, next(u for u in adj[v] if u != prev)
+        length += 1
+    return length

@@ -2,10 +2,12 @@
 
 A Coxeter element is a product of all simple reflections, each appearing
 once.  Two orderings give the same element exactly when they induce the same
-orientation of the Coxeter graph (only commuting swaps are available), so the
-orientation is the canonical key for a Coxeter element.  Everything here
-works on (graph, ordering) alone -- no group table -- and therefore applies
-to infinite groups as well.
+orientation of the Coxeter graph (only commuting swaps are available; J.-Y.
+Shi, *The enumeration of Coxeter elements*, 1997).  The classes are
+enumerated directly, each once through its lexicographically least ordering,
+by a normal-form search (`_classes`) rather than over all n! orderings.
+Everything here works on (graph, ordering) alone -- no group table -- and
+therefore applies to infinite groups as well.
 
 The layer structure of the orientation (vertices by longest incoming
 directed path) is the graph-side ancestor decomposition: layer 1 is the
@@ -14,14 +16,14 @@ the involution length of the element.
 """
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import CoxeterGraph
 from .errors import TooLarge
 from .graphs import chromatic_number, extend_to_maximal_independent
 
-ENUMERATION_GUARD = 9  # n! orderings are enumerated; 9! = 362,880
+ENUMERATION_GUARD = 9  # U_n has n! classes; 9! = 362,880
 
 
 @dataclass(frozen=True)
@@ -121,23 +123,34 @@ def min_ilen_coxeter_element(graph: CoxeterGraph) -> tuple[CoxeterElementWord, i
     return word, path_length(orientation_of(graph, word))
 
 
-def _orientation_key(pos: dict[int, int], pairs) -> tuple[bool, ...]:
-    return tuple(pos[i] < pos[j] for (i, j) in pairs)
+def _classes(graph: CoxeterGraph):
+    """(least ordering, involution length) of each Coxeter element, in lexicographic order.
 
-
-def _path_length_fast(graph: CoxeterGraph, perm, pos) -> int:
+    Depth-first search placing generators in ascending order.  v may be placed
+    only if it exceeds every generator placed after its last placed neighbour,
+    the test for the lexicographic normal form of a trace (Anisimov-Knuth,
+    *Inhomogeneous sorting*, 1979), so each commutation class is reached once,
+    through its least ordering.  `state` maps each unplaced generator to (that
+    bound, the largest depth among its placed neighbours).
+    """
     adj = graph.adjacency
-    depth: dict[int, int] = {}
-    best = 0
-    for v in perm:  # topological order of the orientation
-        dv = 1
-        for u in adj[v]:
-            if pos[u] < pos[v] and depth[u] >= dv:
-                dv = depth[u] + 1
-        depth[v] = dv
-        if dv > best:
-            best = dv
-    return best
+    ordering: list[int] = []
+
+    def extend(state: dict[int, tuple[int, int]], ilen: int):
+        if not state:
+            yield tuple(ordering), ilen
+            return
+        for v, (bound, reach) in state.items():
+            if v < bound:
+                continue
+            nbrs, d = adj[v], reach + 1
+            ordering.append(v)
+            rest = {u: (0, max(r, d)) if u in nbrs else (max(b, v), r)
+                    for u, (b, r) in state.items() if u != v}
+            yield from extend(rest, max(ilen, d))
+            ordering.pop()
+
+    return extend({v: (0, 0) for v in sorted(graph.vertices)}, 0)
 
 
 def _check_enumeration_guard(graph: CoxeterGraph):
@@ -150,22 +163,12 @@ def _check_enumeration_guard(graph: CoxeterGraph):
 def ilen_spectrum(graph: CoxeterGraph) -> dict[int, int]:
     """Involution length -> number of distinct Coxeter elements attaining it.
 
-    Enumerates all generator orderings and deduplicates by orientation
-    (commutation classes).  The minimum key is the chromatic number and the
-    maximum key is the longest-path order of the graph.
+    One pass over the commutation classes (see `_classes`).  The minimum key
+    is the chromatic number and the maximum key is the longest-path order of
+    the graph.
     """
     _check_enumeration_guard(graph)
-    pairs = [(i, j) for (i, j, _) in graph.edges]
-    tally: dict[int, int] = {}
-    seen: set[tuple[bool, ...]] = set()
-    for perm in itertools.permutations(graph.vertices):
-        pos = {v: k for k, v in enumerate(perm)}
-        key = _orientation_key(pos, pairs)
-        if key in seen:
-            continue
-        seen.add(key)
-        d = _path_length_fast(graph, perm, pos)
-        tally[d] = tally.get(d, 0) + 1
+    tally = Counter(ilen for _, ilen in _classes(graph))
     return dict(sorted(tally.items()))
 
 
@@ -176,13 +179,4 @@ def coxeter_element_classes(graph: CoxeterGraph) -> list[CoxeterElementWord]:
     commutation class, listed in lexicographic order.
     """
     _check_enumeration_guard(graph)
-    pairs = [(i, j) for (i, j, _) in graph.edges]
-    reps: list[CoxeterElementWord] = []
-    seen: set[tuple[bool, ...]] = set()
-    for perm in itertools.permutations(sorted(graph.vertices)):
-        pos = {v: k for k, v in enumerate(perm)}
-        key = _orientation_key(pos, pairs)
-        if key not in seen:
-            seen.add(key)
-            reps.append(CoxeterElementWord(perm))
-    return reps
+    return [CoxeterElementWord(ordering) for ordering, _ in _classes(graph)]

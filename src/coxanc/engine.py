@@ -7,7 +7,8 @@ assigned in breadth-first order over length, ties broken by lexicographically
 least reduced word, so ids -- and every report derived from them -- are
 stable across runs and platforms.
 
-Construction runs in the standard geometric representation.  The simple
+Construction runs in the standard geometric representation.  Finiteness is
+decided from the Coxeter graph beforehand (`core.is_finite_type`).  The simple
 roots are closed under the simple reflections (positive roots only: a simple
 reflection permutes the positive roots other than its own), giving each
 generator as a permutation of the root ids.  An element is then keyed by the
@@ -36,7 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INFINITY, CoxeterMatrix, SystemSpec, build_matrix, parse_spec
+from .core import (
+    INFINITY,
+    CoxeterMatrix,
+    SystemSpec,
+    build_matrix,
+    graph_of,
+    is_finite_type,
+    parse_spec,
+)
 from .errors import (
     BadLetter,
     InvalidLimit,
@@ -120,12 +129,16 @@ def _locate(stack: np.ndarray, v: np.ndarray) -> int | None:
 def build_root_system(matrix: CoxeterMatrix, cap: int = DEFAULT_ROOT_CAP) -> RootSystem:
     """Close the simple roots under the simple reflections.
 
-    Raises NotFinite as soon as the root count exceeds cap, which is how
-    infinite groups (universal, affine, I2(inf)) announce themselves.
+    Finiteness is decided from the Coxeter graph first (`is_finite_type`):
+    an infinite group (universal, affine, I2(inf), ...) raises NotFinite
+    before any closure.  A finite group with more than cap roots raises
+    InvalidLimit.
     """
     n = matrix.n
     if cap < 2 * n:
         raise InvalidLimit(f"root cap {cap} is below 2*rank = {2 * n}")
+    if not is_finite_type(graph_of(matrix)):
+        raise NotFinite("the Coxeter graph is not of finite type: the group is infinite")
     b = _cosine_matrix(matrix)
     vecs = [np.eye(n)[i] for i in range(n)]
     stack = np.vstack(vecs)
@@ -146,9 +159,9 @@ def build_root_system(matrix: CoxeterMatrix, cap: int = DEFAULT_ROOT_CAP) -> Roo
                 vecs.append(w)
                 stack = np.vstack([stack, w])
                 if 2 * len(vecs) > cap:
-                    raise NotFinite(
-                        f"root closure exceeded cap {cap}: the group is not finite "
-                        f"(or raise the cap)"
+                    raise InvalidLimit(
+                        f"root closure exceeded cap {cap}: the group is finite, "
+                        f"raise the cap"
                     )
                 fresh.append(len(vecs) - 1)
         frontier = fresh

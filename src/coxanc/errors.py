@@ -26,7 +26,7 @@ class NotIndependent(CoxeterError):
 
 
 class NotFinite(CoxeterError):
-    """Root closure exceeded its cap: the group is infinite (or too big to treat as finite)."""
+    """The Coxeter graph is not of finite type: the group is infinite."""
 
 
 class NumericalInstability(CoxeterError):
@@ -34,7 +34,7 @@ class NumericalInstability(CoxeterError):
 
 
 class InvalidLimit(CoxeterError, ValueError):
-    """A size limit (root cap, order guard) is malformed or too small to use."""
+    """A size limit (root cap, order guard) is malformed or too small for the group."""
 
 
 class OrderGuardExceeded(CoxeterError):

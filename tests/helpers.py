@@ -3,7 +3,7 @@
 Everything here is deliberately computed by a different route than the
 library takes: closed-form order formulas, a group table built from full
 root permutations, Cayley-graph BFS over gen_mul, whole-group prefix scans,
-and exhaustive path/coloring enumeration.
+and exhaustive path/coloring/ordering enumeration.
 """
 import math
 from collections import deque
@@ -135,6 +135,30 @@ def brute_colorable(graph, k):
         if all(colors[i] != colors[j] for (i, j, _) in graph.edges):
             return True
     return not verts
+
+
+def brute_coxeter_classes(graph):
+    """(least ordering, path length) per acyclic orientation, over all n! orderings.
+
+    Orderings are tried in lexicographic order and deduplicated by the
+    orientation they induce, so the first one seen is the least of its class.
+    The path length is the longest directed path (vertex count), computed
+    along the ordering, which is a topological order of the orientation.
+    """
+    adj = graph.adjacency
+    seen = set()
+    out = []
+    for perm in permutations(sorted(graph.vertices)):
+        pos = {v: k for k, v in enumerate(perm)}
+        key = tuple(pos[i] < pos[j] for (i, j, _) in graph.edges)
+        if key in seen:
+            continue
+        seen.add(key)
+        depth = {}
+        for v in perm:
+            depth[v] = 1 + max((depth[u] for u in adj[v] if u in depth), default=0)
+        out.append((perm, max(depth.values(), default=0)))
+    return out
 
 
 def all_reduced_words(table, w):

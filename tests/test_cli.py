@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import coxanc
 from coxanc.cli import EXIT_COUNTEREXAMPLE, EXIT_ERROR, EXIT_PASS, exit_code_for, main
 from coxanc.verifier import ConjectureReport
@@ -49,6 +51,26 @@ def test_verify_root_cap_below_rank_is_exit_2(capsys):
     )
     assert code == EXIT_ERROR
     assert json.loads(out)["reports"][0]["error"].startswith("InvalidLimit")
+
+
+def test_verify_finite_group_past_root_cap_is_invalid_limit(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--spec", "I2(7)", "--root-cap", "10", "--format", "json", "--quiet"
+    )
+    assert code == EXIT_ERROR
+    error = json.loads(out)["reports"][0]["error"]
+    assert error.startswith("InvalidLimit") and "finite" in error
+
+
+@pytest.mark.parametrize("spec", ["U3", "I2(inf)", "triangle"])
+def test_verify_infinite_group_is_not_finite(capsys, tmp_path, spec):
+    if spec == "triangle":  # affine A2: a triangle of 3-bonds
+        path = tmp_path / "triangle.cox"
+        path.write_text("3\n3 3\n3\n")
+        spec = f"file:{path}"
+    code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--format", "json", "--quiet")
+    assert code == EXIT_ERROR
+    assert json.loads(out)["reports"][0]["error"].startswith("NotFinite")
 
 
 def test_verify_malformed_order_guard_env_is_exit_2(capsys, monkeypatch):

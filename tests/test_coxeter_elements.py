@@ -24,7 +24,7 @@ from coxanc import (
     path_length,
 )
 from coxanc.errors import TooLarge
-from helpers import classical_coxeter_number
+from helpers import brute_coxeter_classes, classical_coxeter_number
 
 
 def g(descriptor):
@@ -177,6 +177,38 @@ def test_extremes_on_random_graphs():
         word, ilen = min_ilen_coxeter_element(graph)
         assert ilen == chi
         assert path_length(orientation_of(graph, word)) == chi
+
+
+def _random_graph(seed):
+    import random
+
+    from coxanc import CoxeterGraph
+
+    rng = random.Random(seed)
+    n = rng.randrange(1, 8)
+    density = rng.random()
+    vertices = tuple(range(1, n + 1))
+    edges = tuple(
+        (i, j, rng.choice([3, 4, 5, 0]))
+        for i in vertices
+        for j in vertices
+        if i < j and rng.random() < density
+    )
+    return CoxeterGraph(vertices=vertices, edges=edges)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [_random_graph(seed) for seed in range(40)] + [g(d) for d in ("A8", "D8", "E8", "U6")],
+)
+def test_classes_match_permutation_oracle(graph):
+    """Class list (order included) and spectrum equal the n!-ordering enumeration."""
+    brute = brute_coxeter_classes(graph)
+    assert coxeter_element_classes(graph) == [CoxeterElementWord(p) for p, _ in brute]
+    spectrum = {}
+    for _, d in brute:
+        spectrum[d] = spectrum.get(d, 0) + 1
+    assert ilen_spectrum(graph) == dict(sorted(spectrum.items()))
 
 
 @pytest.mark.parametrize("descriptor", ["A3", "B3", "H3", "I2(8)", "D4"])
