@@ -88,15 +88,24 @@ class RootSystem:
 
 
 def effective_order_guard(override: int | None = None) -> int:
+    """The element-count limit: the override, else the environment, else the default.
+
+    A non-integer or a value below 1 is an InvalidLimit.
+    """
     if override is not None:
-        return override
-    env = os.environ.get(ORDER_GUARD_ENV)
-    if not env:
-        return DEFAULT_ORDER_GUARD
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidLimit(f"{ORDER_GUARD_ENV}={env!r} is not an integer") from None
+        guard, source = override, "order guard "
+    else:
+        env = os.environ.get(ORDER_GUARD_ENV)
+        if not env:
+            return DEFAULT_ORDER_GUARD
+        try:
+            guard = int(env)
+        except ValueError:
+            raise InvalidLimit(f"{ORDER_GUARD_ENV}={env!r} is not an integer") from None
+        source = f"{ORDER_GUARD_ENV}="
+    if guard < 1:
+        raise InvalidLimit(f"{source}{guard} is below 1")
+    return guard
 
 
 def _cosine_matrix(matrix: CoxeterMatrix) -> np.ndarray:

@@ -4,8 +4,16 @@ Every element has a unique reduced word: a letter sequence with no two equal
 neighbours.  That makes everything total and exact -- an initial segment is
 an involution exactly when it is a palindrome, and there is exactly one
 prefix per length, so ancestors are always unique.
+
+A palindrome of even length has two equal middle letters, so every
+palindrome in a reduced word has odd length.  One pass of Manacher's
+algorithm over the odd centres (`_radii`) therefore yields every palindromic
+prefix, of the word and of each of its suffixes, and both the involution
+prefixes and the ancestor decomposition cost O(n) for an n-letter word.
 """
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .errors import EmptyWord, InvalidWord
 from .weak_order import AncestorDecomposition
@@ -56,10 +64,49 @@ def ug_multiply(a, b) -> FreeWord:
     return tuple(out)
 
 
+def _radii(w: FreeWord) -> list[int]:
+    """r[c] = the largest r with w[c - r : c + r + 1] a palindrome (Manacher, O(n)).
+
+    Only odd centres are kept: w is reduced, so it has no even palindromes.
+    """
+    n = len(w)
+    r = [0] * n
+    lo, hi = 0, -1  # w[lo : hi + 1] is the palindrome reaching furthest right so far
+    for c in range(n):
+        k = 0 if c > hi else min(r[lo + hi - c], hi - c)  # mirror centre inside it
+        while c - k > 0 and c + k + 1 < n and w[c - k - 1] == w[c + k + 1]:
+            k += 1
+        r[c] = k
+        if c + k > hi:
+            lo, hi = c - k, c + k
+    return r
+
+
+def _factors(w: FreeWord) -> tuple[FreeWord, ...]:
+    """Longest palindromic prefixes of w, stripped in turn (w already checked).
+
+    The palindromes centred at c are the w[p : 2c - p + 1] with p >= c - r[c],
+    so the longest one starting at p is centred at top[p], the furthest
+    centre whose maximal palindrome starts at or before p.
+    """
+    n = len(w)
+    furthest = [-1] * n  # furthest[s]: the last centre whose palindrome starts at s
+    for c, rc in enumerate(_radii(w)):
+        furthest[c - rc] = c
+    top = list(accumulate(furthest, max))
+    factors = []
+    p = 0
+    while p < n:
+        end = 2 * top[p] - p + 1
+        factors.append(w[p:end])
+        p = end
+    return tuple(factors)
+
+
 def ug_involution_prefixes(w) -> list[FreeWord]:
     """Palindromic nonempty initial segments, in increasing length."""
     w = check_word(w)
-    return [w[:i] for i in range(1, len(w) + 1) if w[:i] == w[i - 1 :: -1]]
+    return [w[: 2 * c + 1] for c, rc in enumerate(_radii(w)) if rc >= c]
 
 
 def ug_ancestor_decomposition(w) -> AncestorDecomposition:
@@ -71,22 +118,11 @@ def ug_ancestor_decomposition(w) -> AncestorDecomposition:
     w = check_word(w)
     if not w:
         raise EmptyWord("the identity has no ancestor decomposition")
-    factors: list[FreeWord] = []
-    cur = w
-    while cur:
-        for i in range(len(cur), 0, -1):
-            if cur[:i] == cur[i - 1 :: -1]:
-                factors.append(cur[:i])
-                cur = cur[i:]
-                break
-    return AncestorDecomposition(owner=w, factors=tuple(factors))
+    return AncestorDecomposition(owner=w, factors=_factors(w))
 
 
 def ug_involution_length(w) -> int:
-    w = check_word(w)
-    if not w:
-        return 0
-    return ug_ancestor_decomposition(w).ilen
+    return len(_factors(check_word(w)))
 
 
 def ug_power_word(n: int, k: int) -> FreeWord:

@@ -3,7 +3,8 @@
 Everything here is deliberately computed by a different route than the
 library takes: closed-form order formulas, a group table built from full
 root permutations, Cayley-graph BFS over gen_mul, whole-group prefix scans,
-and exhaustive path/coloring/ordering enumeration.
+exhaustive path/coloring/ordering enumeration, and palindrome tests of every
+prefix length for universal-group words.
 """
 import math
 from collections import deque
@@ -159,6 +160,27 @@ def brute_coxeter_classes(graph):
             depth[v] = 1 + max((depth[u] for u in adj[v] if u in depth), default=0)
         out.append((perm, max(depth.values(), default=0)))
     return out
+
+
+def brute_ug_involution_prefixes(w):
+    """Palindromic nonempty initial segments of a reduced word, by testing every length."""
+    return [w[:i] for i in range(1, len(w) + 1) if w[:i] == w[i - 1 :: -1]]
+
+
+def brute_ug_decomposition(w):
+    """Factors of a reduced word, peeling the longest palindromic prefix each time.
+
+    Every candidate length is tried from the top down, so this is O(n^3).
+    """
+    factors = []
+    cur = tuple(w)
+    while cur:
+        for i in range(len(cur), 0, -1):
+            if cur[:i] == cur[i - 1 :: -1]:
+                factors.append(cur[:i])
+                cur = cur[i:]
+                break
+    return tuple(factors)
 
 
 def all_reduced_words(table, w):

@@ -80,6 +80,25 @@ def test_verify_malformed_order_guard_env_is_exit_2(capsys, monkeypatch):
     assert json.loads(out)["reports"][0]["error"].startswith("InvalidLimit")
 
 
+@pytest.mark.parametrize("command", ["verify", "element"])
+def test_negative_order_guard_is_invalid_limit(capsys, command):
+    args = ["--spec", "A3", "--order-guard", "-5"]
+    if command == "verify":
+        code, out, _ = run_cli(capsys, "verify", *args, "--format", "json", "--quiet")
+        error = json.loads(out)["reports"][0]["error"]
+    else:
+        code, _, error = run_cli(capsys, "element", *args, "--word", "1,2")
+    assert code == EXIT_ERROR
+    assert "InvalidLimit" in error and "OrderGuardExceeded" not in error
+
+
+def test_zero_order_guard_env_is_invalid_limit(capsys, monkeypatch):
+    monkeypatch.setenv("COXANC_ORDER_GUARD", "0")
+    code, out, _ = run_cli(capsys, "verify", "--spec", "A2", "--format", "json", "--quiet")
+    assert code == EXIT_ERROR
+    assert json.loads(out)["reports"][0]["error"].startswith("InvalidLimit")
+
+
 def test_verify_missing_matrix_file_is_recorded(capsys, tmp_path):
     missing = tmp_path / "missing.cox"
     code, out, _ = run_cli(
@@ -202,6 +221,14 @@ def test_universal_trivial(capsys):
 def test_universal_guard(capsys):
     code, _, err = run_cli(capsys, "universal", "--n", "200", "--k", "200")
     assert code == EXIT_ERROR
+
+
+def test_universal_guard_edge(capsys):
+    # 9,999 letters, the longest power word the word guard allows for n = 3
+    code, out, _ = run_cli(capsys, "universal", "--n", "3", "--k", "3333", "--format", "json")
+    assert code == EXIT_PASS
+    data = json.loads(out)
+    assert data["length"] == 9999 and data["involution_length"] == 9999
 
 
 def test_usage_error(capsys):

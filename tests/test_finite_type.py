@@ -93,13 +93,13 @@ def test_finite_type_classification(graph, finite):
     assert is_finite_type(graph) is finite
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(coxeter_matrices())
 def test_finite_type_is_positive_definiteness(matrix):
     assert is_finite_type(graph_of(matrix)) == positive_definite(matrix)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(coxeter_matrices(), st.data())
 def test_finite_matrices_build_audited_tables(matrix, data):
     """Infinite matrices are refused; finite ones pass the audit and the scan oracle."""

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxanc import (
     reduce_word,
@@ -11,6 +13,7 @@ from coxanc import (
     ug_power_word,
 )
 from coxanc.errors import EmptyWord, InvalidWord
+from helpers import brute_ug_decomposition, brute_ug_involution_prefixes
 
 
 def test_multiply_examples():
@@ -111,3 +114,46 @@ def test_word_guard():
         ug_power_word(5, 4000)
     with pytest.raises(InvalidWord):
         reduce_word([1, 2] * 6000)
+
+
+@st.composite
+def palindrome_rich_words(draw):
+    """reduce_word(u + u[-2::-1] + tail): a palindrome, then an arbitrary tail."""
+    letters = st.integers(1, draw(st.integers(1, 4)))
+    u = draw(st.lists(letters, max_size=30))
+    tail = draw(st.lists(letters, max_size=20))
+    return reduce_word(u + u[-2::-1] + tail)
+
+
+def assert_matches_oracle(word):
+    assert ug_involution_prefixes(word) == brute_ug_involution_prefixes(word)
+    if not word:
+        with pytest.raises(EmptyWord):
+            ug_ancestor_decomposition(word)
+        assert ug_involution_length(word) == 0
+        return
+    factors = brute_ug_decomposition(word)
+    assert ug_ancestor_decomposition(word).factors == factors
+    assert ug_involution_length(word) == len(factors)
+
+
+@settings(max_examples=500)
+@given(palindrome_rich_words())
+def test_matches_peeling_oracle(word):
+    assert_matches_oracle(word)
+
+
+def test_power_words_match_peeling_oracle():
+    for n in range(1, 7):
+        for k in range(1, 41):
+            assert_matches_oracle(ug_power_word(n, k))
+
+
+def test_guard_sized_alternating_word():
+    # r1 r2 ... r1 (9,999 letters) is the longest palindromic prefix; the last r2 is left
+    word = (1, 2) * 5000
+    dec = ug_ancestor_decomposition(word)
+    assert dec.factors == (word[:-1], (2,))
+    prefixes = ug_involution_prefixes(word)
+    assert len(prefixes) == 5000
+    assert [len(p) for p in prefixes] == list(range(1, 10_000, 2))
