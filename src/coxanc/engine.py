@@ -441,7 +441,9 @@ def element_from_word(table: GroupTable, word) -> int:
     """Evaluate a word (1-based letters, not necessarily reduced) left to right."""
     e = 0
     for letter in word:
-        if not isinstance(letter, (int, np.integer)) or not 1 <= letter <= table.n:
+        # bool is an int subclass, but True is not the letter r1
+        if (isinstance(letter, bool) or not isinstance(letter, (int, np.integer))
+                or not 1 <= letter <= table.n):
             raise BadLetter(f"letter {letter!r} outside 1..{table.n}")
         e = int(table.gen_mul[e, letter - 1])
     return e

@@ -53,6 +53,10 @@ class InvalidWord(CoxeterError):
     """Letter sequence is not a reduced word of the universal group."""
 
 
+class InvalidElement(CoxeterError, ValueError):
+    """Element id outside 0..order-1 of its group table."""
+
+
 class IdentityHasNoAncestor(CoxeterError):
     """Ancestor operations are undefined for the identity element."""
 

@@ -1,10 +1,12 @@
 """Prefixes in weak order, involution prefixes, ancestors, and decompositions.
 
 u is a prefix of w when w = uv with additive lengths, i.e. some reduced word
-for w starts with one for u.  The involution prefixes of maximal length are
-the "ancestors" of w; when there is exactly one, stripping it and recursing
-yields the ancestor decomposition w = a_1 a_2 ... a_k, whose factor count is
-the involution length of w.
+for w starts with one for u.  The prefixes of w form the lower interval
+[1, w] in right weak order, which `_interval` lists one length level at a
+time with array operations on the group table.  The involution prefixes of
+maximal length are the "ancestors" of w; when there is exactly one,
+stripping it and recursing yields the ancestor decomposition
+w = a_1 a_2 ... a_k, whose factor count is the involution length of w.
 
 Having more than one maximal involution prefix is a first-class outcome
 (Ambiguity), not an error: the verifier exists to hunt for exactly that, so
@@ -12,18 +14,12 @@ nothing here assumes uniqueness.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .engine import (
-    GroupTable,
-    canonical_reduced_word,
-    is_involution,
-    left_descents,
-    left_multiply_generator,
-    multiply,
-)
-from .errors import IdentityHasNoAncestor
+import numpy as np
+
+from .engine import GroupTable, canonical_reduced_word, multiply
+from .errors import IdentityHasNoAncestor, InvalidElement
 
 
 @dataclass(frozen=True)
@@ -57,33 +53,58 @@ class AncestorDecomposition:
         return len(self.factors)
 
 
+def _check_element(table: GroupTable, w: int) -> None:
+    """Reject ids outside the table: numpy would wrap a negative one."""
+    if not 0 <= w < table.order:
+        raise InvalidElement(f"element id {w} outside 0..{table.order - 1}")
+
+
+def _interval(table: GroupTable, w: int) -> np.ndarray:
+    """Ids of [1, w], one length level after another, each id once.
+
+    Each prefix u of a level carries its residual v = u^-1 w.  The next level
+    is u*s for every left descent s of v, deduplicated, and the residual of
+    u*s is s*v = (v^-1 * s)^-1.  So `inverse` is read only at residuals and
+    their inverses, never at other elements.
+    """
+    _check_element(table, w)
+    bit = np.int64(1) << np.arange(table.n, dtype=np.int64)
+    level = np.zeros(1, dtype=table.gen_mul.dtype)
+    residual = np.array([w], dtype=table.inverse.dtype)
+    levels = [level]
+    for _ in range(int(table.length[w])):
+        rows, cols = np.nonzero(table.ldesc_bits[residual][:, None] & bit)
+        level, first = np.unique(table.gen_mul[level[rows], cols], return_index=True)
+        rows, cols = rows[first], cols[first]
+        residual = table.inverse[table.gen_mul[table.inverse[residual[rows]], cols]]
+        levels.append(level)
+    return np.concatenate(levels)
+
+
+def _involutions(table: GroupTable, w: int) -> np.ndarray:
+    """Ids of the involution prefixes of w, shortest first."""
+    ids = _interval(table, w)
+    return ids[(table.inverse[ids] == ids) & (ids != 0)]
+
+
 def is_prefix(table: GroupTable, u: int, w: int) -> bool:
+    _check_element(table, u)
+    _check_element(table, w)
     residual = multiply(table, int(table.inverse[u]), w)
     return int(table.length[u]) + int(table.length[residual]) == int(table.length[w])
 
 
 def prefixes(table: GroupTable, w: int) -> PrefixSet:
-    """All prefixes of w, by breadth-first expansion inside the interval [1, w].
+    """All prefixes of w: the interval [1, w], expanded one length level at a time.
 
-    From a prefix u with residual v = u^-1 w, the successors are u*s for each
-    left descent s of v.
+    From a prefix u with residual v = u^-1 w, the prefixes one longer are u*s
+    for each left descent s of v.
     """
-    found = {0}
-    queue = deque([(0, w)])
-    while queue:
-        u, v = queue.popleft()
-        for s in left_descents(table, v):
-            u2 = int(table.gen_mul[u, s - 1])
-            if u2 not in found:
-                found.add(u2)
-                queue.append((u2, left_multiply_generator(table, s, v)))
-    return PrefixSet(owner=w, members=frozenset(found))
+    return PrefixSet(owner=w, members=frozenset(_interval(table, w).tolist()))
 
 
 def involution_prefixes(table: GroupTable, w: int) -> PrefixSet:
-    members = frozenset(
-        u for u in prefixes(table, w).members if is_involution(table, u)
-    )
+    members = frozenset(_involutions(table, w).tolist())
     return PrefixSet(owner=w, members=members, involutions_only=True)
 
 
@@ -91,10 +112,10 @@ def ancestors(table: GroupTable, w: int) -> PrefixSet:
     """Maximal-length slice of the involution prefixes; nonempty for w != identity."""
     if w == table.id_of_identity:
         raise IdentityHasNoAncestor("the identity has no involution prefixes")
-    candidates = involution_prefixes(table, w).members
-    assert candidates, "non-identity elements always have involution prefixes"
-    top = max(int(table.length[u]) for u in candidates)
-    members = frozenset(u for u in candidates if int(table.length[u]) == top)
+    candidates = _involutions(table, w)
+    assert candidates.size, "non-identity elements always have involution prefixes"
+    lengths = table.length[candidates]
+    members = frozenset(candidates[lengths == lengths.max()].tolist())
     return PrefixSet(owner=w, members=members, involutions_only=True)
 
 
@@ -139,6 +160,7 @@ def suffix_ancestor_decomposition(table: GroupTable, w: int) -> AncestorDecompos
     """
     if w == table.id_of_identity:
         raise IdentityHasNoAncestor("the identity has no ancestor decomposition")
+    _check_element(table, w)
     dec = ancestor_decomposition(table, int(table.inverse[w]))
     if isinstance(dec, Ambiguity):
         return dec
@@ -147,7 +169,10 @@ def suffix_ancestor_decomposition(table: GroupTable, w: int) -> AncestorDecompos
 
 def format_factors(table: GroupTable, factors) -> str:
     """Render a factor list as parenthesized canonical words: '(r3 r6)(r2 r4)'."""
-    return "".join(
-        "(" + " ".join(f"r{letter}" for letter in canonical_reduced_word(table, f)) + ")"
-        for f in factors
-    )
+    rendered = []
+    for f in factors:
+        _check_element(table, f)
+        rendered.append(
+            "(" + " ".join(f"r{letter}" for letter in canonical_reduced_word(table, f)) + ")"
+        )
+    return "".join(rendered)

@@ -101,7 +101,9 @@ def brute_prefix_set(table, lgs, w):
     """{u : l(u) + l(u^-1 w) = l(w)} by scanning the whole group.
 
     Uses l(u^-1 w) = l(w^-1 u), so one composed left-action array per w
-    suffices.  Independent of the interval BFS in weak_order.
+    suffices.  Independent of weak_order's level-by-level search of [1, w]:
+    it tests every element of the group, not just the ones reached from
+    below.
     """
     from coxanc import canonical_reduced_word
 

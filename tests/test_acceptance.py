@@ -8,7 +8,7 @@ findings rather than an all-pass outcome:
 * criterion 1 requires the ancestor property in all 67 groups of the paper
   preset and the rank bound in all of them except exactly E6, F4, H3 and H4.
   Each of those four failures is re-derived without the whole-group scan:
-  a witness is decomposed by the per-element interval BFS and every strip
+  a witness is decomposed by the per-element interval search and every strip
   is checked against a brute-force prefix set (smallest cases also pinned
   in test_weak_order and, with exact golden-field arithmetic for H3, in
   test_exact_arithmetic_oracle.py);
@@ -73,7 +73,7 @@ def confirm_rank_bound_witness(table, rank):
     """Least element with ilen > rank, re-derived without trusting the scan.
 
     The scan only proposes the candidate.  Its decomposition comes from the
-    per-element interval BFS, and each factor is checked to be the unique
+    per-element interval search, and each factor is checked to be the unique
     longest involution in the brute-force prefix set of the remainder.
     """
     stripped = ancestor_scan(table).stripped.tolist()
@@ -270,7 +270,7 @@ def test_criterion_6_oracle_equivalence(group, capsys):
         assert table.order <= 1152, descriptor
         # length oracle: BFS distance in the right-multiplication Cayley graph
         assert cayley_bfs_lengths(table) == table.length.tolist(), descriptor
-        # prefix oracle: whole-group scan vs interval BFS, every element
+        # prefix oracle: whole-group scan vs interval search, every element
         lgs = left_tables(table)
         for w in range(table.order):
             assert prefixes(table, w).members == brute_prefix_set(table, lgs, w), (

@@ -4,9 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coxanc
+from coxanc import canonical_reduced_word
 from coxanc.cli import EXIT_COUNTEREXAMPLE, EXIT_ERROR, EXIT_PASS, exit_code_for, main
 from coxanc.verifier import ConjectureReport
 
@@ -175,6 +177,19 @@ def test_element_json(capsys):
     data = json.loads(out)
     assert data["ancestor_decomposition"] == [[3, 6], [2, 4], [1, 5]]
     assert data["suffix_ancestor_decomposition"] == [[3], [2, 4, 6], [1, 5]]
+
+
+def test_element_longest_d6_counts_every_involution(capsys, group):
+    # every one of D6's 23,040 elements is a prefix of its longest element
+    table = group("D6")
+    w0 = int(np.argmax(table.length))
+    word = ",".join(str(g) for g in canonical_reduced_word(table, w0))
+    code, out, _ = run_cli(capsys, "element", "--spec", "D6", "--word", word, "--format", "json")
+    assert code == EXIT_PASS
+    data = json.loads(out)
+    involutions = int((table.inverse == np.arange(table.order)).sum()) - 1
+    assert data["involution_prefix_count"] == involutions
+    assert data["ancestors"] == [list(canonical_reduced_word(table, w0))]
 
 
 def test_coxelems_spec(capsys):

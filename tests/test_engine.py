@@ -89,6 +89,17 @@ def test_element_from_word(group):
         element_from_word(t, (3,))
 
 
+def test_element_from_word_rejects_bool_letters(group):
+    t = group("A2")
+    for word in [(True, 2), (1, False), (np.bool_(True),)]:
+        with pytest.raises(BadLetter):
+            element_from_word(t, word)
+    # numpy integer letters are still letters
+    letters = np.array([1, 2], dtype=np.int8)
+    assert element_from_word(t, letters) == element_from_word(t, (1, 2))
+    assert element_from_word(t, (np.int64(2),)) == element_from_word(t, (2,))
+
+
 def test_canonical_words(group):
     t = group("A2")
     assert canonical_reduced_word(t, 0) == ()

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxanc import (
     Ambiguity,
@@ -16,8 +19,11 @@ from coxanc import (
     prefixes,
     suffix_ancestor_decomposition,
 )
-from coxanc.errors import IdentityHasNoAncestor
+from coxanc.errors import IdentityHasNoAncestor, InvalidElement
+from coxanc.weak_order import _interval
 from helpers import brute_prefix_set, left_tables
+
+ORACLE_GROUPS = ["H3", "F4", "D5", "A2xB2", "I2(7)"]
 
 
 def wid(table, *letters):
@@ -50,6 +56,61 @@ def test_prefixes_match_whole_group_scan(descriptor, group):
     lgs = left_tables(table)
     for w in range(table.order):
         assert prefixes(table, w).members == brute_prefix_set(table, lgs, w), w
+
+
+def check_against_whole_group_scan(table, lgs, w):
+    """prefixes, involution_prefixes and ancestors of w against brute_prefix_set."""
+    ids = _interval(table, w)
+    assert len(np.unique(ids)) == len(ids), w
+    expected = brute_prefix_set(table, lgs, w)
+    assert prefixes(table, w).members == expected, w
+    invs = {u for u in expected if is_involution(table, u)}
+    assert involution_prefixes(table, w).members == invs, w
+    if w == 0:
+        with pytest.raises(IdentityHasNoAncestor):
+            ancestors(table, w)
+        return
+    top = max(int(table.length[u]) for u in invs)
+    assert ancestors(table, w).members == {u for u in invs if int(table.length[u]) == top}, w
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_interval_matches_whole_group_scan_past_rank_3(group, data):
+    table = group(data.draw(st.sampled_from(ORACLE_GROUPS), label="group"))
+    w = data.draw(st.integers(0, table.order - 1), label="w")
+    check_against_whole_group_scan(table, left_tables(table), w)
+
+
+@pytest.mark.parametrize("descriptor", ORACLE_GROUPS)
+def test_longest_element_matches_whole_group_scan(descriptor, group):
+    table = group(descriptor)
+    w0 = int(np.argmax(table.length))
+    assert len(_interval(table, w0)) == table.order
+    check_against_whole_group_scan(table, left_tables(table), w0)
+
+
+ELEMENT_CALLS = {
+    "is_prefix(u)": lambda t, w: is_prefix(t, w, 0),
+    "is_prefix(w)": lambda t, w: is_prefix(t, 0, w),
+    "prefixes": prefixes,
+    "involution_prefixes": involution_prefixes,
+    "ancestors": ancestors,
+    "ancestor": ancestor,
+    "ancestor_decomposition": ancestor_decomposition,
+    "involution_length": involution_length,
+    "suffix_ancestor_decomposition": suffix_ancestor_decomposition,
+    "format_factors": lambda t, w: format_factors(t, [w]),
+}
+
+
+@pytest.mark.parametrize("call", ELEMENT_CALLS.values(), ids=ELEMENT_CALLS.keys())
+def test_out_of_range_id_is_invalid_element(call, group):
+    # numpy would read id -1 as the last element, the longest one
+    t = group("A3")
+    for bad in (-1, t.order):
+        with pytest.raises(InvalidElement, match=f"element id {bad} outside 0..23"):
+            call(t, bad)
 
 
 def test_involution_prefixes_examples(group):
@@ -169,7 +230,7 @@ def test_f4_rank_bound_counterexample(group):
         (1,),
     ]
     assert dec.ilen == 5
-    # maximality of each strip is forced: the interval BFS finds no longer
+    # maximality of each strip is forced: the interval search finds no longer
     # involution prefix at any step
     assert max(int(t.length[u]) for u in involution_prefixes(t, w).members) == 2
 
