@@ -48,6 +48,7 @@ from .core import (
 )
 from .errors import (
     BadLetter,
+    InvalidElement,
     InvalidLimit,
     NotFinite,
     NumericalInstability,
@@ -214,8 +215,7 @@ class GroupTable:
     gen_mul: np.ndarray      # (order, n) int32
     length: np.ndarray       # (order,)  int32
     inverse: np.ndarray      # (order,)  int32
-    ldesc_bits: np.ndarray   # (order,)  int64, bit g-1 set iff r_g is a left descent
-    rdesc_bits: np.ndarray   # (order,)  int64
+    rdesc_bits: np.ndarray   # (order,)  int64, bit g-1 set iff r_g is a right descent
     parent: np.ndarray       # (order,)  int32, -1 for the identity
     first_letter: np.ndarray  # (order,) int16, 0-based generator, -1 for the identity
     system: RootSystem
@@ -326,7 +326,6 @@ def build_group_table(system: RootSystem, order_guard: int | None = None,
         gen_mul=gen_mul,
         length=lengths,
         inverse=inverse,
-        ldesc_bits=rdesc[inverse],
         rdesc_bits=rdesc,
         parent=parents,
         first_letter=firsts,
@@ -354,7 +353,9 @@ def _audit(table: GroupTable, left: np.ndarray) -> None:
       generator and is preserved by inverse;
     * right descents by length agree with the root signs, l(w r_g) < l(w)
       iff w(alpha_g) < 0 (Humphreys, Reflection Groups and Coxeter Groups,
-      5.4), and left descents agree with l(r_g w) < l(w).
+      5.4).  `left_descents` reads rdesc_bits[inverse[w]] (a left descent of
+      w is a right descent of w^-1), certified by this check and the checks
+      on inverse and left above.
 
     Together: the table is a transitive W-set whose descents agree with the
     faithful root representation.  Ids are distinct simple-root images, so
@@ -419,8 +420,6 @@ def _audit(table: GroupTable, left: np.ndarray) -> None:
             raise NumericalInstability("generator multiplication does not step length by 1")
         if not np.array_equal((table.rdesc_bits >> g) & 1 == 1, steps < 0):
             raise NumericalInstability("root-sign descent rule disagrees with the length rule")
-        if not np.array_equal((table.ldesc_bits >> g) & 1 == 1, lengths[left[:, g]] < lengths):
-            raise NumericalInstability("left descent bits disagree with the length rule")
 
 
 def build_group(spec: SystemSpec | str, *, root_cap: int = DEFAULT_ROOT_CAP,
@@ -449,8 +448,15 @@ def element_from_word(table: GroupTable, word) -> int:
     return e
 
 
+def _check_element(table: GroupTable, w: int) -> None:
+    """Reject ids outside the table: numpy would wrap a negative one."""
+    if not 0 <= w < table.order:
+        raise InvalidElement(f"element id {w} outside 0..{table.order - 1}")
+
+
 def canonical_reduced_word(table: GroupTable, w: int) -> Word:
     """Lexicographically least reduced word (repeatedly take the least left descent)."""
+    _check_element(table, w)
     letters: list[int] = []
     while w != 0:
         letters.append(int(table.first_letter[w]) + 1)
@@ -459,7 +465,8 @@ def canonical_reduced_word(table: GroupTable, w: int) -> Word:
 
 
 def left_descents(table: GroupTable, w: int) -> frozenset[int]:
-    bits = int(table.ldesc_bits[w])
+    _check_element(table, w)
+    bits = int(table.rdesc_bits[table.inverse[w]])
     return frozenset(g + 1 for g in range(table.n) if bits >> g & 1)
 
 
@@ -467,14 +474,17 @@ def left_multiply_generator(table: GroupTable, g: int, w: int) -> int:
     """r_g * w via (w^-1 * r_g)^-1; generators are involutions."""
     if not 1 <= g <= table.n:
         raise BadLetter(f"generator {g} outside 1..{table.n}")
+    _check_element(table, w)
     return int(table.inverse[table.gen_mul[table.inverse[w], g - 1]])
 
 
 def is_involution(table: GroupTable, w: int) -> bool:
+    _check_element(table, w)
     return w != 0 and int(table.inverse[w]) == w
 
 
 def multiply(table: GroupTable, u: int, v: int) -> int:
+    _check_element(table, u)
     e = u
     for letter in canonical_reduced_word(table, v):
         e = int(table.gen_mul[e, letter - 1])
@@ -482,6 +492,7 @@ def multiply(table: GroupTable, u: int, v: int) -> int:
 
 
 def element_order(table: GroupTable, w: int) -> int:
+    _check_element(table, w)
     k = 1
     cur = w
     while cur != 0:

@@ -2,11 +2,13 @@
 
 u is a prefix of w when w = uv with additive lengths, i.e. some reduced word
 for w starts with one for u.  The prefixes of w form the lower interval
-[1, w] in right weak order, which `_interval` lists one length level at a
-time with array operations on the group table.  The involution prefixes of
-maximal length are the "ancestors" of w; when there is exactly one,
-stripping it and recursing yields the ancestor decomposition
-w = a_1 a_2 ... a_k, whose factor count is the involution length of w.
+[1, w] in right weak order, Pref(w) = {w} ∪ ⋃_{s ∈ D_R(w)} Pref(ws), which
+`_levels` walks from w down to the identity one length level at a time,
+peeling right descents with array operations on the group table.  The
+involution prefixes of maximal length are the "ancestors" of w, found on the
+first level that holds an involution; when there is exactly one, stripping it
+and recursing yields the ancestor decomposition w = a_1 a_2 ... a_k, whose
+factor count is the involution length of w.
 
 Having more than one maximal involution prefix is a first-class outcome
 (Ambiguity), not an error: the verifier exists to hunt for exactly that, so
@@ -14,12 +16,13 @@ nothing here assumes uniqueness.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GroupTable, canonical_reduced_word, multiply
-from .errors import IdentityHasNoAncestor, InvalidElement
+from .engine import GroupTable, _check_element, canonical_reduced_word, multiply
+from .errors import IdentityHasNoAncestor
 
 
 @dataclass(frozen=True)
@@ -53,70 +56,52 @@ class AncestorDecomposition:
         return len(self.factors)
 
 
-def _check_element(table: GroupTable, w: int) -> None:
-    """Reject ids outside the table: numpy would wrap a negative one."""
-    if not 0 <= w < table.order:
-        raise InvalidElement(f"element id {w} outside 0..{table.order - 1}")
+def _levels(table: GroupTable, w: int) -> Iterator[np.ndarray]:
+    """Ids of [1, w], one length level at a time from w down to the identity.
 
-
-def _interval(table: GroupTable, w: int) -> np.ndarray:
-    """Ids of [1, w], one length level after another, each id once.
-
-    Each prefix u of a level carries its residual v = u^-1 w.  The next level
-    is u*s for every left descent s of v, deduplicated, and the residual of
-    u*s is s*v = (v^-1 * s)^-1.  So `inverse` is read only at residuals and
-    their inverses, never at other elements.
+    Each level is the previous one times its right descents, deduplicated.
+    Only gen_mul, rdesc_bits and length are read, never inverse.
     """
     _check_element(table, w)
     bit = np.int64(1) << np.arange(table.n, dtype=np.int64)
-    level = np.zeros(1, dtype=table.gen_mul.dtype)
-    residual = np.array([w], dtype=table.inverse.dtype)
-    levels = [level]
+    level = np.array([w], dtype=table.gen_mul.dtype)
+    yield level
     for _ in range(int(table.length[w])):
-        rows, cols = np.nonzero(table.ldesc_bits[residual][:, None] & bit)
-        level, first = np.unique(table.gen_mul[level[rows], cols], return_index=True)
-        rows, cols = rows[first], cols[first]
-        residual = table.inverse[table.gen_mul[table.inverse[residual[rows]], cols]]
-        levels.append(level)
-    return np.concatenate(levels)
+        rows, cols = np.nonzero(table.rdesc_bits[level][:, None] & bit)
+        level = np.unique(table.gen_mul[level[rows], cols])
+        yield level
 
 
-def _involutions(table: GroupTable, w: int) -> np.ndarray:
-    """Ids of the involution prefixes of w, shortest first."""
-    ids = _interval(table, w)
-    return ids[(table.inverse[ids] == ids) & (ids != 0)]
+def _interval(table: GroupTable, w: int) -> np.ndarray:
+    """Ids of [1, w], longest first, each id once."""
+    return np.concatenate(list(_levels(table, w)))
 
 
 def is_prefix(table: GroupTable, u: int, w: int) -> bool:
     _check_element(table, u)
-    _check_element(table, w)
     residual = multiply(table, int(table.inverse[u]), w)
     return int(table.length[u]) + int(table.length[residual]) == int(table.length[w])
 
 
 def prefixes(table: GroupTable, w: int) -> PrefixSet:
-    """All prefixes of w: the interval [1, w], expanded one length level at a time.
-
-    From a prefix u with residual v = u^-1 w, the prefixes one longer are u*s
-    for each left descent s of v.
-    """
+    """All prefixes of w: the interval [1, w], peeled one right descent at a time."""
     return PrefixSet(owner=w, members=frozenset(_interval(table, w).tolist()))
 
 
 def involution_prefixes(table: GroupTable, w: int) -> PrefixSet:
-    members = frozenset(_involutions(table, w).tolist())
+    ids = _interval(table, w)
+    members = frozenset(ids[(table.inverse[ids] == ids) & (ids != 0)].tolist())
     return PrefixSet(owner=w, members=members, involutions_only=True)
 
 
 def ancestors(table: GroupTable, w: int) -> PrefixSet:
-    """Maximal-length slice of the involution prefixes; nonempty for w != identity."""
+    """Maximal-length involution prefixes: the involutions of the first level down that has any."""
     if w == table.id_of_identity:
         raise IdentityHasNoAncestor("the identity has no involution prefixes")
-    candidates = _involutions(table, w)
-    assert candidates.size, "non-identity elements always have involution prefixes"
-    lengths = table.length[candidates]
-    members = frozenset(candidates[lengths == lengths.max()].tolist())
-    return PrefixSet(owner=w, members=members, involutions_only=True)
+    for level in _levels(table, w):
+        found = level[table.inverse[level] == level]
+        if found.size:
+            return PrefixSet(owner=w, members=frozenset(found.tolist()), involutions_only=True)
 
 
 def ancestor(table: GroupTable, w: int) -> int | Ambiguity:
@@ -171,7 +156,6 @@ def format_factors(table: GroupTable, factors) -> str:
     """Render a factor list as parenthesized canonical words: '(r3 r6)(r2 r4)'."""
     rendered = []
     for f in factors:
-        _check_element(table, f)
         rendered.append(
             "(" + " ".join(f"r{letter}" for letter in canonical_reduced_word(table, f)) + ")"
         )

@@ -102,8 +102,8 @@ def brute_prefix_set(table, lgs, w):
 
     Uses l(u^-1 w) = l(w^-1 u), so one composed left-action array per w
     suffices.  Independent of weak_order's level-by-level search of [1, w]:
-    it tests every element of the group, not just the ones reached from
-    below.
+    it tests every element of the group, not just the ones reached from w
+    by peeling right descents.
     """
     from coxanc import canonical_reduced_word
 
@@ -265,7 +265,6 @@ def reference_group_table(system):
         gen_mul=gen_mul,
         length=lengths,
         inverse=inverse,
-        ldesc_bits=rdesc[inverse],
         rdesc_bits=rdesc,
         parent=np.array(parent, dtype=np.int32),
         first_letter=np.array(first, dtype=np.int16),

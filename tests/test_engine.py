@@ -19,7 +19,13 @@ from coxanc import (
 )
 from coxanc.core import CoxeterMatrix
 from coxanc.engine import _audit, _key_layout, _pack, build_group_table
-from coxanc.errors import BadLetter, NotFinite, NumericalInstability, OrderGuardExceeded
+from coxanc.errors import (
+    BadLetter,
+    InvalidElement,
+    NotFinite,
+    NumericalInstability,
+    OrderGuardExceeded,
+)
 from helpers import (
     all_reduced_words,
     cayley_bfs_lengths,
@@ -31,7 +37,7 @@ from helpers import (
 )
 
 TABLE_ARRAYS = (
-    "gen_mul", "length", "inverse", "ldesc_bits", "rdesc_bits", "parent", "first_letter",
+    "gen_mul", "length", "inverse", "rdesc_bits", "parent", "first_letter",
 )
 
 
@@ -153,6 +159,27 @@ def test_support(group):
     assert support(t, 0) == frozenset()
     assert support(t, element_from_word(t, (4,))) == {4}
     assert support(t, element_from_word(t, (6, 3, 2, 1, 4, 5))) == {1, 2, 3, 4, 5, 6}
+
+
+ELEMENT_CALLS = {
+    "canonical_reduced_word": canonical_reduced_word,
+    "left_descents": left_descents,
+    "left_multiply_generator": lambda t, w: left_multiply_generator(t, 1, w),
+    "is_involution": is_involution,
+    "multiply(u)": lambda t, w: multiply(t, w, 0),
+    "multiply(v)": lambda t, w: multiply(t, 0, w),
+    "element_order": element_order,
+    "support": support,
+}
+
+
+@pytest.mark.parametrize("call", ELEMENT_CALLS.values(), ids=ELEMENT_CALLS.keys())
+def test_out_of_range_id_is_invalid_element(call, group):
+    # numpy would read id -1 as the last element, the longest one
+    t = group("A3")
+    for bad in (-1, t.order):
+        with pytest.raises(InvalidElement, match=f"element id {bad} outside 0..23"):
+            call(t, bad)
 
 
 @pytest.mark.parametrize("descriptor", ["A3", "B3", "I2(7)", "A2xA2", "H3"])

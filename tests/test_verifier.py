@@ -73,7 +73,7 @@ def test_scan_ambiguous_element_gets_exact_witnesses(group):
     # No group the package builds has an ambiguous element, so make one: with
     # t = r1 r2 r1 no longer counted as an involution, w = r1 r2 r1 r3 in A3
     # has the two longest involution prefixes r1 and r2.  The search for w
-    # reads inverse[] only at suffixes of w, which t is not.
+    # reads inverse[] only in the involution test inverse[x] == x.
     real = group("A3")
     t = element_from_word(real, (1, 2, 1))
     w = element_from_word(real, (1, 2, 1, 3))

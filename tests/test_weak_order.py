@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,24 @@ def test_longest_element_matches_whole_group_scan(descriptor, group):
     w0 = int(np.argmax(table.length))
     assert len(_interval(table, w0)) == table.order
     check_against_whole_group_scan(table, left_tables(table), w0)
+
+
+@pytest.mark.parametrize("descriptor", ["B3", "H3", "A2xB2"])
+def test_search_reads_inverse_only_to_test_involutions(descriptor, group):
+    # With inverse[] blanked out except at involutions, any other read of it
+    # would send the search astray; the answers must still be those of the
+    # real table.
+    real = group(descriptor)
+    lgs = left_tables(real)
+    involution = real.inverse == np.arange(real.order)
+    table = dataclasses.replace(real, inverse=np.where(involution, real.inverse, -1))
+    for w in range(1, real.order):
+        expected = brute_prefix_set(real, lgs, w)
+        assert prefixes(table, w).members == expected, w
+        invs = {u for u in expected if u != 0 and involution[u]}
+        assert involution_prefixes(table, w).members == invs, w
+        top = max(int(real.length[u]) for u in invs)
+        assert ancestors(table, w).members == {u for u in invs if real.length[u] == top}, w
 
 
 ELEMENT_CALLS = {
