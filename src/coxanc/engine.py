@@ -14,10 +14,12 @@ reflection permutes the positive roots other than its own), giving each
 generator as a permutation of the root ids.  An element is then keyed by the
 images of the n simple roots alone -- they determine it, since the simple
 roots are a basis -- packed into int64 words.  The breadth-first closure
-left-multiplies one length level at a time, sorts the candidates' keys to
-deduplicate them and to read off the left-multiplication table, and derives
-right multiplication and inverses from it level by level.  Full root
-permutations are never built, so memory per element is the table row itself.
+left-multiplies one length level at a time.  A move down a level is the
+reverse of a move up from the level below, so only the moves up are keyed:
+one sort of their keys deduplicates them into the next level and fills the
+rest of the left-multiplication table.  Right multiplication and inverses
+follow from that table level by level.  Full root permutations are never
+built, so memory per element is the table row itself.
 Right descents are read off root signs: l(w s) < l(w) iff w(alpha_s) < 0.
 
 Root coordinates are double precision with a snap tolerance; the finished
@@ -247,16 +249,42 @@ def _pack(images: np.ndarray, bits: int, words: int) -> np.ndarray:
     return keys
 
 
+def _dense_rank(x: np.ndarray) -> np.ndarray:
+    """Rank of each value among the distinct values of x (0 for the least)."""
+    by_value = np.argsort(x)
+    ordered = x[by_value]
+    rank = np.empty(len(x), dtype=np.int64)
+    rank[by_value[0]] = 0
+    rank[by_value[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
+    return rank
+
+
+def _fold(keys: np.ndarray) -> np.ndarray:
+    """(rows, words) int64 keys -> (rows,) int64 keys, equal exactly where the rows are.
+
+    A one-word key is its word.  Each further word joins by dense ranks: the
+    key so far and the word are both ranks below rows, so rank * rows + rank
+    is distinct for distinct pairs and fits in 63 bits for any table in memory.
+    """
+    key = keys[:, 0]
+    rows = len(key)
+    for word in range(1, keys.shape[1]):
+        key = _dense_rank(key) * rows + _dense_rank(keys[:, word])
+    return key
+
+
 def build_group_table(system: RootSystem, order_guard: int | None = None,
                       audit: bool = True) -> GroupTable:
     """Breadth-first closure from the identity; see the module docstring.
 
-    Level d is the previous level left-multiplied by every generator, in
-    (generator, parent) order.  One stable lexsort of those candidates
-    together with level d-2 sorts every candidate into its element: the
-    first of a run of equal keys is its id, new elements are numbered in
-    discovery order, and each candidate's id is a row of the
-    left-multiplication table.  Right multiplication and inverses then
+    Level d's down-moves are known before it is searched: every up-move
+    r_g * p = w from level d-1 gives r_g * w = p, scattered into w's row of
+    the left-multiplication table.  The rest, (g, p) with g not a left
+    descent of p, are the up-moves, taken in (generator, parent) order and
+    keyed by their simple-root images.  One unstable argsort of the keys
+    groups equal keys into runs, one run per new element; the least
+    candidate in a run is its first discovery, and new elements are numbered
+    in order of first discovery.  Right multiplication and inverses then
     follow level by level from w = r_f * p: w * r_g = r_f * (p * r_g) and
     w^-1 = p^-1 * r_f.
     """
@@ -265,41 +293,48 @@ def build_group_table(system: RootSystem, order_guard: int | None = None,
     npos = system.num_positive
     guard = effective_order_guard(order_guard)
     bits, words = _key_layout(system)
+    bit_of = np.int64(1) << np.arange(n)
+    edges = np.arange(n + 1)
 
     images = np.arange(n, dtype=np.int32)[None, :]  # the identity fixes each simple root
-    keys = _pack(images, bits, words)
-    below_keys = keys[:0]
-    lo, hi, below_lo = 0, 1, 0
+    block = np.full((1, n), -1, dtype=np.int32)  # a level's rows of left; -1 marks an up-move
+    lo, hi = 0, 1
     bounds = [0, 1]
     left_blocks, parent_blocks, first_blocks, rdesc_blocks = [], [], [], []
     while True:
         level = hi - lo
-        cand = gp[:, images].reshape(n * level, n)  # row g*level + b is r_g * (lo + b)
-        stacked = np.concatenate([below_keys, _pack(cand, bits, words)])
-        by_key = np.lexsort(stacked.T)  # stable: first discovery heads each run
-        ordered = stacked[by_key]
-        run_start = np.ones(len(by_key), dtype=bool)
-        run_start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        head = np.empty(len(by_key), dtype=np.int64)
-        head[by_key] = by_key[np.maximum.accumulate(np.where(run_start, np.arange(len(by_key)), 0))]
-        nbelow = len(below_keys)
-        fresh = np.nonzero(head[nbelow:] == np.arange(nbelow, len(by_key)))[0]
+        left_blocks.append(block)
+        rdesc_blocks.append((images >= npos) @ bit_of)
+        up = np.flatnonzero(block.T < 0)  # g*level + b: r_g * (lo + b) is one longer
+        if not len(up):
+            break
+        g, b = np.divmod(up, level)
+        cuts = np.searchsorted(up, level * edges).tolist()
+        cand = images[b]
+        for r in range(n):  # one generator's up-moves at a time, looked up in its permutation
+            rows = cand[cuts[r]:cuts[r + 1]]
+            np.take(gp[r], rows, out=rows)
+        key = _fold(_pack(cand, bits, words))
+        by_key = np.argsort(key)
+        ordered = key[by_key]
+        run_start = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        first_seen = np.minimum.reduceat(by_key, np.flatnonzero(run_start))
+        fresh = np.sort(first_seen)  # the new elements' first discoveries, in id order
         if hi + len(fresh) > guard:
             raise OrderGuardExceeded(
                 f"group exceeds the order guard {guard} "
                 f"(override with {ORDER_GUARD_ENV} or order_guard=)"
             )
-        id_of = np.empty(len(by_key), dtype=np.int32)
-        id_of[:nbelow] = np.arange(below_lo, lo, dtype=np.int32)
-        id_of[nbelow + fresh] = np.arange(hi, hi + len(fresh), dtype=np.int32)
-        left_blocks.append(id_of[head[nbelow:]].reshape(n, level).T)
-        rdesc_blocks.append(((images >= npos) << np.arange(n)).sum(axis=1, dtype=np.int64))
-        if not len(fresh):
-            break
-        parent_blocks.append((lo + fresh % level).astype(np.int32))
-        first_blocks.append((fresh // level).astype(np.int16))
+        number = np.empty(len(up), dtype=np.int32)
+        number[fresh] = np.arange(len(fresh), dtype=np.int32)
+        new = np.empty(len(up), dtype=np.int32)  # each up-move's element, counted from hi
+        new[by_key] = number[first_seen][np.cumsum(run_start) - 1]
+        block[b, g] = hi + new  # completes this level's rows, already in left_blocks
+        block = np.full((len(fresh), n), -1, dtype=np.int32)
+        block[new, g] = lo + b  # the next level's down-moves: r_g * (hi + new) = lo + b
+        parent_blocks.append((lo + b[fresh]).astype(np.int32))
+        first_blocks.append(g[fresh].astype(np.int16))
         images = cand[fresh]
-        below_keys, below_lo, keys = keys, lo, stacked[nbelow + fresh]
         lo, hi = hi, hi + len(fresh)
         bounds.append(hi)
 
@@ -308,6 +343,7 @@ def build_group_table(system: RootSystem, order_guard: int | None = None,
     rdesc = np.concatenate(rdesc_blocks)
     parents = np.concatenate([[-1], *parent_blocks]).astype(np.int32)
     firsts = np.concatenate([[-1], *first_blocks]).astype(np.int16)
+    del left_blocks, rdesc_blocks, parent_blocks, first_blocks  # free them before the audit
     lengths = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
 
     gen_mul = np.empty((order, n), dtype=np.int32)
@@ -343,8 +379,12 @@ def _audit(table: GroupTable, left: np.ndarray) -> None:
 
     * each generator acts on the 2N root ids as an involutive permutation,
       and r_i r_j has order exactly m_ij there;
-    * each gen_mul column is an involution and (r_i r_j)^m_ij fixes every
-      element, so gen_mul is a right action of W on the ids;
+    * each gen_mul column is an involution and r_i r_j r_i ... = r_j r_i r_j ...
+      (m_ij letters each side) on every element, so gen_mul is a right action
+      of W on the ids.  With involutive columns the braid form is the same
+      check as (r_i r_j)^m_ij fixing every element: the inverse of
+      r_j r_i r_j ... is the same word reversed, and appending it to
+      r_i r_j r_i ... gives (r_i r_j)^m_ij;
     * every element other than the identity is r_f times its parent
       (left[parent, f] = w) and left = inverse o gen_mul o inverse, with
       inverse an involution, so every id is reached from the identity: the
@@ -397,12 +437,13 @@ def _audit(table: GroupTable, left: np.ndarray) -> None:
             raise NumericalInstability(f"right multiplication by r{g + 1} is not an involution")
     for i in range(n):
         for j in range(i + 1, n):
-            cur = ids
-            for _ in range(system.matrix.rows[i][j]):
-                cur = cols[j][cols[i][cur]]
-            if not np.array_equal(cur, ids):
+            ij, ji = cols[i], cols[j]  # w -> w r_i r_j r_i ... and w -> w r_j r_i r_j ...
+            for k in range(1, system.matrix.rows[i][j]):
+                ij = cols[(i, j)[k % 2]][ij]
+                ji = cols[(j, i)[k % 2]][ji]
+            if not np.array_equal(ij, ji):
                 raise NumericalInstability(
-                    f"(r{i + 1} r{j + 1})^m does not fix every element of the table"
+                    f"braid relation of r{i + 1} and r{j + 1} fails on the table"
                 )
 
     inverse, lengths = table.inverse, table.length

@@ -244,7 +244,7 @@ def test_ids_are_length_sorted(group):
 
 @pytest.mark.parametrize(
     "descriptor",
-    ["B3", "H3", "F4", "A2xB2", "I2(7)", "A2xA2xA2xA2xA2", "x".join(["A1"] * 16)],
+    ["A1", "B3", "H3", "F4", "D5", "A2xB2", "I2(7)", "A2xA2xA2xA2xA2", "x".join(["A1"] * 16)],
 )
 def test_table_matches_reference_builder(descriptor):
     system = build_root_system(build_matrix(parse_spec(descriptor)))
@@ -285,6 +285,18 @@ def test_audit_rejects_swapped_gen_mul_entries():
     assert gen_mul[x, 0] not in (x, y)
     gen_mul[[x, y], 0] = gen_mul[[y, x], 0]
     with pytest.raises(NumericalInstability, match="not an involution"):
+        _audit(dataclasses.replace(table, gen_mul=gen_mul), left)
+
+
+def test_audit_rejects_re_paired_gen_mul_column():
+    # x <-> y and x r1 <-> y r1 leave the r1 column an involution: only the braid check sees it
+    table, left = _unaudited("B3")
+    gen_mul = table.gen_mul.copy()
+    x, y = 5, 17
+    xr, yr = gen_mul[[x, y], 0]
+    assert len({x, y, xr, yr}) == 4
+    gen_mul[[x, y, xr, yr], 0] = [y, x, yr, xr]
+    with pytest.raises(NumericalInstability, match="braid relation of r1 and r2 fails"):
         _audit(dataclasses.replace(table, gen_mul=gen_mul), left)
 
 
