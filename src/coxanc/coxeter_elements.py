@@ -9,6 +9,19 @@ by a normal-form search (`_classes`) rather than over all n! orderings.
 Everything here works on (graph, ordering) alone -- no group table -- and
 therefore applies to infinite groups as well.
 
+The search keeps generators as bits of machine words.  An ordering is a
+least one exactly when each generator exceeds every generator placed after
+its last placed neighbour (Anisimov-Knuth), so the set of generators that
+may come next is one mask, updated on placing v as
+
+    allowed' = ((allowed & above(v)) | nbr(v)) & unplaced'
+
+Placing v raises that bound to v for every non-neighbour, which therefore
+stays placeable only if it was and exceeds v, and clears the bound of every
+neighbour, which becomes placeable.  This is the bound test itself, kept up
+to date in a few word operations per search node instead of a pass over the
+unplaced generators.
+
 The layer structure of the orientation (vertices by longest incoming
 directed path) is the graph-side ancestor decomposition: layer 1 is the
 descent set, each layer is an independent set, and the number of layers is
@@ -16,7 +29,6 @@ the involution length of the element.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import CoxeterGraph
@@ -123,34 +135,69 @@ def min_ilen_coxeter_element(graph: CoxeterGraph) -> tuple[CoxeterElementWord, i
     return word, path_length(orientation_of(graph, word))
 
 
-def _classes(graph: CoxeterGraph):
-    """(least ordering, involution length) of each Coxeter element, in lexicographic order.
+def _classes(graph: CoxeterGraph, visit) -> None:
+    """Call visit(ordering, ilen) for each Coxeter element, in lexicographic order.
 
+    `ordering` is the least ordering of the element's commutation class (a
+    list that is reused: copy it to keep it) and `ilen` its involution length.
     Depth-first search placing generators in ascending order.  v may be placed
     only if it exceeds every generator placed after its last placed neighbour,
     the test for the lexicographic normal form of a trace (Anisimov-Knuth,
     *Inhomogeneous sorting*, 1979), so each commutation class is reached once,
-    through its least ordering.  `state` maps each unplaced generator to (that
-    bound, the largest depth among its placed neighbours).
+    through its least ordering.
+
+    Generator k of the sorted vertices is bit k.  A node holds the mask of
+    unplaced generators, the mask `allowed` of those passing the test, and one
+    mask per depth layer of the placed ones.  Placing v gives
+
+        allowed' = ((allowed & above(v)) | nbr(v)) & unplaced'
+
+    because placing v lifts the bound of every non-neighbour to v, so it stays
+    placeable only if it was and exceeds v, and resets the bound of every
+    neighbour, which becomes placeable.  The candidates of a node are tried in
+    ascending order, so `allowed & above(v)` is exactly the candidates not yet
+    tried.  The depth of v is one more than the deepest layer holding a
+    neighbour, and the involution length is the number of layers.
     """
-    adj = graph.adjacency
-    ordering: list[int] = []
+    labels = tuple(sorted(graph.vertices))
+    if not labels:
+        visit([], 0)
+        return
+    bit = {v: 1 << k for k, v in enumerate(labels)}
+    nbr = [sum(bit[u] for u in graph.adjacency[v]) for v in labels]
+    everything = (1 << len(labels)) - 1
+    _extend(everything, everything, [], [], labels, nbr, visit)
 
-    def extend(state: dict[int, tuple[int, int]], ilen: int):
-        if not state:
-            yield tuple(ordering), ilen
-            return
-        for v, (bound, reach) in state.items():
-            if v < bound:
-                continue
-            nbrs, d = adj[v], reach + 1
-            ordering.append(v)
-            rest = {u: (0, max(r, d)) if u in nbrs else (max(b, v), r)
-                    for u, (b, r) in state.items() if u != v}
-            yield from extend(rest, max(ilen, d))
-            ordering.pop()
 
-    return extend({v: (0, 0) for v in sorted(graph.vertices)}, 0)
+def _extend(unplaced, allowed, layers, ordering, labels, nbr, visit) -> None:
+    """The subtree of one `_classes` node; `layers` and `ordering` are restored on return.
+
+    A module-level function, not a closure: a nested function that calls
+    itself is a reference cycle, which keeps the caller's results alive until
+    the cycle collector runs.
+    """
+    ilen = len(layers)
+    while allowed:
+        low = allowed & -allowed
+        allowed ^= low
+        k = low.bit_length() - 1
+        reach = nbr[k]
+        d = ilen  # ends as the depth of the deepest placed neighbour
+        while d and not layers[d - 1] & reach:
+            d -= 1
+        rest = unplaced ^ low
+        ordering.append(labels[k])
+        if not rest:
+            visit(ordering, ilen if d < ilen else ilen + 1)
+        elif d == ilen:
+            layers.append(low)
+            _extend(rest, allowed | (reach & rest), layers, ordering, labels, nbr, visit)
+            layers.pop()
+        else:
+            layers[d] ^= low
+            _extend(rest, allowed | (reach & rest), layers, ordering, labels, nbr, visit)
+            layers[d] ^= low
+        ordering.pop()
 
 
 def _check_enumeration_guard(graph: CoxeterGraph):
@@ -168,8 +215,13 @@ def ilen_spectrum(graph: CoxeterGraph) -> dict[int, int]:
     the graph.
     """
     _check_enumeration_guard(graph)
-    tally = Counter(ilen for _, ilen in _classes(graph))
-    return dict(sorted(tally.items()))
+    tally = [0] * (graph.rank + 1)
+
+    def count(_ordering, ilen):
+        tally[ilen] += 1
+
+    _classes(graph, count)
+    return {ilen: n for ilen, n in enumerate(tally) if n}
 
 
 def coxeter_element_classes(graph: CoxeterGraph) -> list[CoxeterElementWord]:
@@ -179,4 +231,7 @@ def coxeter_element_classes(graph: CoxeterGraph) -> list[CoxeterElementWord]:
     commutation class, listed in lexicographic order.
     """
     _check_enumeration_guard(graph)
-    return [CoxeterElementWord(ordering) for ordering, _ in _classes(graph)]
+    words: list[CoxeterElementWord] = []
+    append = words.append
+    _classes(graph, lambda ordering, _ilen: append(CoxeterElementWord(tuple(ordering))))
+    return words

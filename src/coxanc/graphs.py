@@ -57,27 +57,36 @@ def _color(verts, adj, colors, i, k) -> bool:
 
 
 def longest_path_order(g: CoxeterGraph) -> int:
-    """Maximum number of vertices on a simple path, by exhaustive DFS from every start."""
+    """Maximum number of vertices on a simple path, by exhaustive DFS from every start.
+
+    Vertex k of the sorted vertices is bit k, so the path so far is one mask
+    and the next steps are the neighbour mask minus it.  A search stops once
+    its path takes in every vertex, since no path is longer.
+    """
     _check_size(g)
     verts = sorted(g.vertices)
-    if not verts:
-        return 0
-    adj = g.adjacency
-    best = 1
-
-    def extend(v: int, visited: set[int], count: int):
-        nonlocal best
-        if count > best:
-            best = count
-        for u in sorted(adj[v]):
-            if u not in visited:
-                visited.add(u)
-                extend(u, visited, count + 1)
-                visited.remove(u)
-
-    for start in verts:
-        extend(start, {start}, 1)
+    bit = {v: 1 << k for k, v in enumerate(verts)}
+    nbr = [sum(bit[u] for u in g.adjacency[v]) for v in verts]
+    everything = (1 << len(verts)) - 1
+    best = 0
+    for k in range(len(verts)):
+        best = max(best, _longest_from(k, everything ^ (1 << k), nbr))
+        if best == len(verts):
+            break
     return best
+
+
+def _longest_from(k: int, unvisited: int, nbr: list[int]) -> int:
+    """Vertices on the longest simple path that starts at k and goes on through `unvisited`."""
+    best = 0
+    free = nbr[k] & unvisited
+    while free:
+        low = free & -free
+        free ^= low
+        best = max(best, _longest_from(low.bit_length() - 1, unvisited ^ low, nbr))
+        if best == unvisited.bit_count():
+            break
+    return best + 1
 
 
 def is_bipartite(g: CoxeterGraph) -> bool:

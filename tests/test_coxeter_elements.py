@@ -1,8 +1,12 @@
+import gc
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coxanc import (
+    CoxeterGraph,
     CoxeterElementWord,
     ancestor_decomposition,
     build_matrix,
@@ -209,6 +213,51 @@ def test_classes_match_permutation_oracle(graph):
     for _, d in brute:
         spectrum[d] = spectrum.get(d, 0) + 1
     assert ilen_spectrum(graph) == dict(sorted(spectrum.items()))
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Rank 0-7 on distinct labels from 1-12, bonds 3, 4, 5, 6 or infinite, any density."""
+    vertices = tuple(sorted(draw(st.sets(st.integers(1, 12), max_size=7))))
+    pairs = [(i, j) for i in vertices for j in vertices if i < j]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = tuple(
+        (i, j, draw(st.sampled_from([3, 4, 5, 6, 0])))
+        for (i, j), keep in zip(pairs, chosen)
+        if keep
+    )
+    return CoxeterGraph(vertices=vertices, edges=edges)
+
+
+@given(labelled_graphs())
+def test_classes_and_spectrum_match_oracle_on_labelled_graphs(graph):
+    brute = brute_coxeter_classes(graph)
+    assert coxeter_element_classes(graph) == [CoxeterElementWord(p) for p, _ in brute]
+    spectrum = {}
+    for _, d in brute:
+        spectrum[d] = spectrum.get(d, 0) + 1
+    assert ilen_spectrum(graph) == dict(sorted(spectrum.items()))
+
+
+def test_empty_graph_has_one_class():
+    empty = CoxeterGraph(vertices=(), edges=())
+    assert ilen_spectrum(empty) == {0: 1}
+    assert coxeter_element_classes(empty) == [CoxeterElementWord(())]
+
+
+def test_class_search_leaves_no_garbage_cycle():
+    """The search frees everything by reference counting, with the cycle collector off."""
+    graphs = [D4, g("U5")]
+    gc.collect()
+    gc.disable()
+    try:
+        for graph in graphs:
+            ilen_spectrum(graph)
+            assert gc.collect() == 0
+            coxeter_element_classes(graph)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("descriptor", ["A3", "B3", "H3", "I2(8)", "D4"])

@@ -65,6 +65,28 @@ def test_longest_path_against_oracle(descriptor):
     assert longest_path_order(graph) <= graph.rank
 
 
+def _random_graph(seed):
+    """Rank 0-8, distinct labels from 1-12 (not always contiguous), any density."""
+    import random
+
+    rng = random.Random(seed)
+    vertices = tuple(sorted(rng.sample(range(1, 13), rng.randrange(0, 9))))
+    density = rng.random()
+    edges = tuple(
+        (i, j, rng.choice([3, 4, 5, 6, 0]))
+        for i in vertices
+        for j in vertices
+        if i < j and rng.random() < density
+    )
+    return CoxeterGraph(vertices=vertices, edges=edges)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_longest_path_on_random_graphs(seed):
+    graph = _random_graph(seed)
+    assert longest_path_order(graph) == brute_longest_path(graph)
+
+
 def test_hamiltonian_iff_path_equals_order():
     assert longest_path_order(A3) == A3.rank  # path graphs are Hamiltonian
     assert longest_path_order(D4) < D4.rank
