@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .core import CoxeterGraph
 from .errors import TooLarge
-from .graphs import chromatic_number, extend_to_maximal_independent
+from .graphs import chromatic_number, extend_to_maximal_independent, neighbour_masks
 
 ENUMERATION_GUARD = 9  # U_n has n! classes; 9! = 362,880
 
@@ -163,10 +163,8 @@ def _classes(graph: CoxeterGraph, visit) -> None:
     if not labels:
         visit([], 0)
         return
-    bit = {v: 1 << k for k, v in enumerate(labels)}
-    nbr = [sum(bit[u] for u in graph.adjacency[v]) for v in labels]
     everything = (1 << len(labels)) - 1
-    _extend(everything, everything, [], [], labels, nbr, visit)
+    _extend(everything, everything, [], [], labels, neighbour_masks(graph), visit)
 
 
 def _extend(unplaced, allowed, layers, ordering, labels, nbr, visit) -> None:

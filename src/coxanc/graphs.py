@@ -19,6 +19,12 @@ def _check_size(g: CoxeterGraph):
         raise TooLarge(f"graph has {g.rank} vertices, guard is {SIZE_GUARD}")
 
 
+def neighbour_masks(g: CoxeterGraph) -> list[int]:
+    """Entry k is the neighbour set of the k-th smallest vertex, with that vertex as bit k."""
+    bit = {v: 1 << k for k, v in enumerate(sorted(g.vertices))}
+    return [sum(bit[u] for u in g.adjacency[v]) for v in sorted(g.vertices)]
+
+
 def chromatic_number(g: CoxeterGraph) -> tuple[int, list[frozenset[int]]]:
     """Exact chromatic number with one witness coloring as a list of color classes.
 
@@ -64,14 +70,12 @@ def longest_path_order(g: CoxeterGraph) -> int:
     its path takes in every vertex, since no path is longer.
     """
     _check_size(g)
-    verts = sorted(g.vertices)
-    bit = {v: 1 << k for k, v in enumerate(verts)}
-    nbr = [sum(bit[u] for u in g.adjacency[v]) for v in verts]
-    everything = (1 << len(verts)) - 1
+    nbr = neighbour_masks(g)
+    everything = (1 << len(nbr)) - 1
     best = 0
-    for k in range(len(verts)):
+    for k in range(len(nbr)):
         best = max(best, _longest_from(k, everything ^ (1 << k), nbr))
-        if best == len(verts):
+        if best == len(nbr):
             break
     return best
 
