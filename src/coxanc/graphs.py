@@ -21,8 +21,9 @@ def _check_size(g: CoxeterGraph):
 
 def neighbour_masks(g: CoxeterGraph) -> list[int]:
     """Entry k is the neighbour set of the k-th smallest vertex, with that vertex as bit k."""
-    bit = {v: 1 << k for k, v in enumerate(sorted(g.vertices))}
-    return [sum(bit[u] for u in g.adjacency[v]) for v in sorted(g.vertices)]
+    verts = sorted(g.vertices)
+    bit = {v: 1 << k for k, v in enumerate(verts)}
+    return [sum(bit[u] for u in g.adjacency[v]) for v in verts]
 
 
 def chromatic_number(g: CoxeterGraph) -> tuple[int, list[frozenset[int]]]:
